@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .ideals import (
     Ideal,
@@ -179,50 +179,67 @@ def parabolic_subsets(rank: int) -> tuple[ParabolicType, ...]:
 
 
 def iter_index_chains(
-    family_ids: tuple[int, ...],
-    succ_within: tuple[tuple[int, ...], ...],
-    max_chains: Optional[int] = None,
+    family_ids: tuple[int, ...], succ_within: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[int, ...]]:
     """All strictly increasing index chains over a family, lexicographically.
 
     ``succ_within[i]`` lists, in increasing order, the family members that
-    strictly contain member ``i``.  The empty chain comes first.  A
-    ``max_chains`` cap aborts the walk once exceeded.
+    strictly contain member ``i``.  The empty chain comes first.
     """
-    emitted = 0
-
-    def bump() -> None:
-        nonlocal emitted
-        emitted += 1
-        if max_chains is not None and emitted > max_chains:
-            raise ChainLimitExceeded(max_chains, emitted)
-
-    bump()
-    yield ()
     stack: list[int] = []
 
-    def walk(last: int) -> Iterator[tuple[int, ...]]:
-        bump()
+    def walk(nexts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield tuple(stack)
-        for nxt in succ_within[last]:
+        for nxt in nexts:
             stack.append(nxt)
-            yield from walk(nxt)
+            yield from walk(succ_within[nxt])
             stack.pop()
 
-    for start in family_ids:
-        stack.append(start)
-        yield from walk(start)
-        stack.pop()
+    yield from walk(family_ids)
+
+
+def walk_chains(
+    family_ids: tuple[int, ...],
+    succ_within: tuple[tuple[int, ...], ...],
+    bits: tuple[int, ...],
+    full: int,
+    visit: Callable[[list[int], int], None],
+) -> None:
+    """Call ``visit(stack, stab)`` once per chain, in ``iter_index_chains`` order.
+
+    ``stack`` is the chain's member ids, one list mutated between calls, so
+    a visitor that keeps a chain copies it.  ``stab`` is ``full`` ANDed with
+    ``bits`` of every member.  A recursive visitor, not a generator: the
+    folds run on it, and resuming a generator once per chain slows them.
+    """
+    stack: list[int] = []
+
+    def walk(nexts: tuple[int, ...], stab: int) -> None:
+        visit(stack, stab)
+        for nxt in nexts:
+            stack.append(nxt)
+            walk(succ_within[nxt], stab & bits[nxt])
+            stack.pop()
+
+    walk(family_ids, full)
 
 
 def family_successors(
     lat: IdealLattice, family_ids: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
-    """Restriction of the lattice successor lists to a family of ideal ids."""
-    allowed = set(family_ids)
+    """Per family member, the family members strictly containing it, ascending."""
+    allowed = 0
+    for i in family_ids:
+        allowed |= 1 << i
     table: list[tuple[int, ...]] = [()] * len(lat.masks)
     for i in family_ids:
-        table[i] = tuple(j for j in lat.succ[i] if j in allowed)
+        above = lat.containers[i] & allowed & ~(1 << i)
+        ids = []
+        while above:
+            low = above & -above
+            ids.append(low.bit_length() - 1)
+            above ^= low
+        table[i] = tuple(ids)
     return tuple(table)
 
 
@@ -245,14 +262,55 @@ def subset_successors(rank: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _family_ids(lat: IdealLattice, kind: ComplexKind) -> tuple[int, ...]:
+def complex_family(
+    rs: RootSystem, kind: ComplexKind
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Member ids, successor lists and stabilizer bits of a complex's members.
+
+    Ideal complexes use lattice ids and normalizer bits.  CP uses positions
+    in ``parabolic_subsets`` and each subset's own bits: the AND over an
+    increasing chain of subsets is its smallest member, the stabilizer.
+    """
+    if kind is ComplexKind.CP:
+        subsets = parabolic_subsets(rs.rank)
+        bits = tuple(sum(1 << (i - 1) for i in j) for j in subsets)
+        return tuple(range(len(subsets))), subset_successors(rs.rank), bits
+    lat = ideal_lattice(rs)
     if kind is ComplexKind.CI:
-        return lat.nonzero_ids
-    if kind is ComplexKind.CA:
-        return lat.abelian_ids
-    if kind is ComplexKind.CR:
-        return lat.radical_ids
-    raise ValueError("CP has no ideal family")
+        ids = lat.nonzero_ids
+    elif kind is ComplexKind.CA:
+        ids = lat.abelian_ids
+    else:
+        ids = lat.radical_ids
+    return ids, family_successors(lat, ids), lat.normalizer_bits
+
+
+def _precheck_limit(
+    ids: tuple[int, ...],
+    succ: tuple[tuple[int, ...], ...],
+    max_chains: Optional[int],
+) -> None:
+    if max_chains is not None:
+        total = count_index_chains(ids, succ)
+        if total > max_chains:
+            raise ChainLimitExceeded(max_chains, total)
+
+
+def walk_complex(
+    rs: RootSystem,
+    kind: ComplexKind,
+    visit: Callable[[list[int], int], None],
+    max_chains: Optional[int] = None,
+) -> None:
+    """Run ``walk_chains`` over every chain of a complex, stabilizer bits included.
+
+    Bit ``i - 1`` of ``stab`` stands for simple index ``i``; the empty chain
+    gets all of them.  If the exact total exceeds ``max_chains``,
+    ``ChainLimitExceeded`` is raised before the first visit.
+    """
+    ids, succ, bits = complex_family(rs, kind)
+    _precheck_limit(ids, succ, max_chains)
+    walk_chains(ids, succ, bits, (1 << rs.rank) - 1, visit)
 
 
 def enumerate_chains(
@@ -266,48 +324,16 @@ def enumerate_chains(
     front) exceeds it, ``ChainLimitExceeded`` is raised before any chain is
     emitted.
     """
+    ids, succ, _ = complex_family(rs, kind)
+    _precheck_limit(ids, succ, max_chains)
     if kind is ComplexKind.CP:
         subsets = parabolic_subsets(rs.rank)
-        ids = tuple(range(len(subsets)))
-        succ = subset_successors(rs.rank)
-        _precheck_limit(ids, succ, max_chains)
-        return _enumerate_parabolic_chains(rs, subsets, ids, succ, max_chains)
+        return (
+            ParabolicChain(rs, tuple(subsets[i] for i in id_chain))
+            for id_chain in iter_index_chains(ids, succ)
+        )
     lat = ideal_lattice(rs)
-    ids = _family_ids(lat, kind)
-    succ = family_successors(lat, ids)
-    _precheck_limit(ids, succ, max_chains)
-    return _enumerate_ideal_chains(rs, lat, ids, succ, max_chains)
-
-
-def _precheck_limit(
-    ids: tuple[int, ...],
-    succ: tuple[tuple[int, ...], ...],
-    max_chains: Optional[int],
-    precheck_size: int = 2000,
-) -> None:
-    if max_chains is not None and len(ids) <= precheck_size:
-        total = count_index_chains(ids, succ)
-        if total > max_chains:
-            raise ChainLimitExceeded(max_chains, total)
-
-
-def _enumerate_ideal_chains(
-    rs: RootSystem,
-    lat: IdealLattice,
-    ids: tuple[int, ...],
-    succ: tuple[tuple[int, ...], ...],
-    max_chains: Optional[int],
-) -> Iterator[Chain]:
-    for id_chain in iter_index_chains(ids, succ, max_chains):
-        yield Chain(rs, tuple(lat.ideal(i) for i in id_chain))
-
-
-def _enumerate_parabolic_chains(
-    rs: RootSystem,
-    subsets: tuple[ParabolicType, ...],
-    ids: tuple[int, ...],
-    succ: tuple[tuple[int, ...], ...],
-    max_chains: Optional[int],
-) -> Iterator[ParabolicChain]:
-    for id_chain in iter_index_chains(ids, succ, max_chains):
-        yield ParabolicChain(rs, tuple(subsets[i] for i in id_chain))
+    return (
+        Chain(rs, tuple(lat.ideal(i) for i in id_chain))
+        for id_chain in iter_index_chains(ids, succ)
+    )

@@ -50,15 +50,21 @@ def _build(args: argparse.Namespace) -> RootSystem:
 
 
 def _max_chains(args: argparse.Namespace) -> int:
+    # Every complex has the empty chain, so a limit below 1 can never pass.
     if args.max_chains is not None:
+        if args.max_chains < 1:
+            raise UsageError(f"--max-chains must be at least 1, got {args.max_chains}")
         return args.max_chains
     env = os.environ.get(ENV_MAX_CHAINS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"{ENV_MAX_CHAINS} must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_CHAINS
+    if env is None:
+        return DEFAULT_MAX_CHAINS
+    try:
+        limit = int(env)
+    except ValueError as exc:
+        raise UsageError(f"{ENV_MAX_CHAINS} must be an integer, got {env!r}") from exc
+    if limit < 1:
+        raise UsageError(f"{ENV_MAX_CHAINS} must be at least 1, got {limit}")
+    return limit
 
 
 def _subset_str(subset: frozenset[int]) -> str:
@@ -307,7 +313,7 @@ def _sum_str(vector) -> str:
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     rs = _build(args)
-    report = verify(rs, max_chains=_max_chains(args), threads=args.threads)
+    report = verify(rs, max_chains=_max_chains(args))
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2), file=out)
     elif args.format == "csv":
@@ -385,7 +391,6 @@ def _parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full identity suite")
     common(p_verify, ("human", "json", "csv"))
     p_verify.add_argument("--max-chains", type=int, default=None)
-    p_verify.add_argument("--threads", type=int, default=1)
 
     return parser
 

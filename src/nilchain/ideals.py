@@ -134,17 +134,21 @@ def enumerate_ideals(rs: RootSystem) -> tuple[Ideal, ...]:
     return tuple(Ideal._unchecked(rs, m) for m in _ideal_masks(rs))
 
 
+def _up_masks(rs: RootSystem) -> tuple[int, ...]:
+    """For each root, the bitmask of the roots one simple step above it."""
+    return tuple(
+        sum(
+            1 << rs.simple_step_table[(r, i)]
+            for i in range(1, rs.rank + 1)
+            if (r, i) in rs.simple_step_table
+        )
+        for r in range(rs.num_positive_roots)
+    )
+
+
 def _ideal_masks(rs: RootSystem) -> tuple[int, ...]:
     m = rs.num_positive_roots
-    ups: list[tuple[int, ...]] = []
-    for r in range(m):
-        ups.append(
-            tuple(
-                rs.simple_step_table[(r, i)]
-                for i in range(1, rs.rank + 1)
-                if (r, i) in rs.simple_step_table
-            )
-        )
+    ups = _up_masks(rs)
     order = sorted(range(m), key=lambda r: -rs.positive_roots[r].height)
     found: list[int] = []
 
@@ -154,12 +158,34 @@ def _ideal_masks(rs: RootSystem) -> tuple[int, ...]:
             return
         r = order[pos]
         walk(pos + 1, mask)
-        if all((mask >> u) & 1 for u in ups[r]):
+        if mask & ups[r] == ups[r]:
             walk(pos + 1, mask | (1 << r))
 
     walk(0, 0)
     found.sort(key=lambda mk: (mk.bit_count(), mk))
     return tuple(found)
+
+
+def _containers(
+    rs: RootSystem, masks: tuple[int, ...], index: dict[int, int]
+) -> tuple[int, ...]:
+    """Per ideal id, the bitset of ids of the ideals containing it (itself included).
+
+    An ideal strictly inside another lies inside one of its covers: the ideal
+    plus one root outside it whose upward simple steps are all in it.  Covers
+    are larger, hence later in canonical order, so one pass in reverse order
+    ORs their finished bitsets together.
+    """
+    ups = _up_masks(rs)
+    out = [0] * len(masks)
+    for i in reversed(range(len(masks))):
+        mask = masks[i]
+        bits = 1 << i
+        for r, up in enumerate(ups):
+            if not (mask >> r) & 1 and mask & up == up:
+                bits |= out[index[mask | 1 << r]]
+        out[i] = bits
+    return tuple(out)
 
 
 def is_abelian(n: Ideal) -> bool:
@@ -236,9 +262,9 @@ class IdealLattice:
 
     Everything chain enumeration and pairing needs, keyed by canonical ideal
     index: abelian and radical flags, the derived ideal, the nilradical of
-    the normalizer, normalizer types as bitmasks over simple positions, the
-    containment relation, and covers-by-index successor lists.  Index 0 is
-    always the zero ideal.
+    the normalizer, normalizer types as bitmasks over simple positions, and
+    the containment relation as one bitset of container ids per ideal.
+    Index 0 is always the zero ideal.
     """
 
     __slots__ = (
@@ -251,7 +277,6 @@ class IdealLattice:
         "radical_closure",
         "normalizer_bits",
         "containers",
-        "succ",
         "nonzero_ids",
         "abelian_ids",
         "radical_ids",
@@ -263,35 +288,18 @@ class IdealLattice:
         self.masks = _ideal_masks(rs)
         self.index = {mk: i for i, mk in enumerate(self.masks)}
         ideals = [Ideal._unchecked(rs, mk) for mk in self.masks]
-        self.abelian = tuple(is_abelian(n) for n in ideals)
-        self.radical = tuple(is_radical_member(n) for n in ideals)
         self.derived = tuple(self.index[derived_ideal(n).mask] for n in ideals)
+        self.abelian = tuple(d == 0 for d in self.derived)
         norm_types = [normalizer_type(n) for n in ideals]
         self.radical_closure = tuple(
             self.index[nilradical_of_parabolic(rs, j).mask] for j in norm_types
         )
+        self.radical = tuple(c == i for i, c in enumerate(self.radical_closure))
         self.normalizer_bits = tuple(
             sum(1 << (i - 1) for i in j) for j in norm_types
         )
-        count = len(self.masks)
-        containers = []
-        for i in range(count):
-            bits = 0
-            for j in range(count):
-                if self.masks[i] | self.masks[j] == self.masks[j]:
-                    bits |= 1 << j
-            containers.append(bits)
-        self.containers = tuple(containers)
-        self.succ = tuple(
-            tuple(
-                j
-                for j in range(i + 1, count)
-                if self.masks[i] != self.masks[j]
-                and self.masks[i] | self.masks[j] == self.masks[j]
-            )
-            for i in range(count)
-        )
-        self.nonzero_ids = tuple(range(1, count))
+        self.containers = _containers(rs, self.masks, self.index)
+        self.nonzero_ids = tuple(range(1, len(self.masks)))
         self.abelian_ids = tuple(i for i in self.nonzero_ids if self.abelian[i])
         self.radical_ids = tuple(i for i in self.nonzero_ids if self.radical[i])
         self.full_simple_bits = (1 << rs.rank) - 1

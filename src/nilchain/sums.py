@@ -12,24 +12,17 @@ All arithmetic is exact (Python integers), so verdicts carry no tolerance.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from threading import Lock
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .chains import (
-    ChainLimitExceeded,
     ComplexKind,
     chain_stabilizer_type,
     cp_to_cr,
     cr_to_cp,
     enumerate_chains,
-    family_successors,
-    iter_index_chains,
     parabolic_subsets,
-    subset_successors,
-    _family_ids,
-    _precheck_limit,
+    walk_complex,
 )
 from .ideals import IdealLattice, ParabolicType, ideal_lattice, normalizer_type
 from .pairings import pair_nonabelian_ids, pair_nonradical_ids
@@ -152,18 +145,13 @@ class _Accumulator:
         self.by_length: dict[int, int] = {}
         self.total = 0
 
-    def add(self, stab_bits: int, length: int) -> None:
+    def add(self, chain: Sequence[int], stab_bits: int) -> None:
+        """Count one chain; the signature is a ``walk_chains`` visitor's."""
+        length = len(chain)
         sign = -1 if length % 2 else 1
         self.sums[stab_bits] = self.sums.get(stab_bits, 0) + sign
         self.by_length[length] = self.by_length.get(length, 0) + 1
         self.total += 1
-
-    def merge(self, other: "_Accumulator") -> None:
-        for k, v in other.sums.items():
-            self.sums[k] = self.sums.get(k, 0) + v
-        for k, v in other.by_length.items():
-            self.by_length[k] = self.by_length.get(k, 0) + v
-        self.total += other.total
 
     def to_sum_vector(self, rank: int) -> SumVector:
         return SumVector(
@@ -174,120 +162,17 @@ class _Accumulator:
         )
 
 
-class _SharedCounter:
-    """Chain counter shared across fold workers; checks a cap in batches."""
-
-    def __init__(self, limit: Optional[int]) -> None:
-        self.limit = limit
-        self.count = 0
-        self._lock = Lock()
-
-    def add(self, n: int) -> None:
-        if self.limit is None:
-            return
-        with self._lock:
-            self.count += n
-            if self.count > self.limit:
-                raise ChainLimitExceeded(self.limit, self.count)
-
-
-def _fold_branch(
-    start: int,
-    succ: tuple[tuple[int, ...], ...],
-    norm_bits: tuple[int, ...],
-    full_bits: int,
-    counter: _SharedCounter,
-) -> _Accumulator:
-    """Fold the subtree of chains beginning at ``start``."""
+def _fold(rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]) -> _Accumulator:
     acc = _Accumulator()
-    add = acc.add
-    pending = 0
-
-    def walk(last: int, stab: int, depth: int) -> None:
-        nonlocal pending
-        add(stab, depth)
-        pending += 1
-        if pending >= 4096:
-            counter.add(pending)
-            pending = 0
-        for nxt in succ[last]:
-            walk(nxt, stab & norm_bits[nxt], depth + 1)
-
-    walk(start, full_bits & norm_bits[start], 1)
-    counter.add(pending)
-    return acc
-
-
-def _fold_family(
-    ids: tuple[int, ...],
-    succ: tuple[tuple[int, ...], ...],
-    norm_bits: tuple[int, ...],
-    full_bits: int,
-    max_chains: Optional[int],
-    threads: int,
-) -> _Accumulator:
-    _precheck_limit(ids, succ, max_chains)
-    counter = _SharedCounter(max_chains)
-    total = _Accumulator()
-    total.add(full_bits, 0)  # the empty chain, stabilized by everything
-    counter.add(1)
-    if threads > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            branches = pool.map(
-                lambda s: _fold_branch(s, succ, norm_bits, full_bits, counter), ids
-            )
-            for acc in branches:
-                total.merge(acc)
-    else:
-        for start in ids:
-            total.merge(_fold_branch(start, succ, norm_bits, full_bits, counter))
-    return total
-
-
-def _fold_ideal_complex(
-    lat: IdealLattice,
-    kind: ComplexKind,
-    max_chains: Optional[int],
-    threads: int,
-) -> _Accumulator:
-    ids = _family_ids(lat, kind)
-    succ = family_successors(lat, ids)
-    return _fold_family(
-        ids, succ, lat.normalizer_bits, lat.full_simple_bits, max_chains, threads
-    )
-
-
-def _fold_parabolic_complex(rank: int, max_chains: Optional[int]) -> _Accumulator:
-    subsets = parabolic_subsets(rank)
-    norm_bits = tuple(sum(1 << (i - 1) for i in j) for j in subsets)
-    succ = subset_successors(rank)
-    ids = tuple(range(len(subsets)))
-    acc = _Accumulator()
-    acc.add((1 << rank) - 1, 0)
-    emitted = 1
-    for id_chain in iter_index_chains(ids, succ):
-        if not id_chain:
-            continue
-        # The stabilizer of a parabolic chain is its smallest member.
-        acc.add(norm_bits[id_chain[0]], len(id_chain))
-        emitted += 1
-        if max_chains is not None and emitted > max_chains:
-            raise ChainLimitExceeded(max_chains, emitted)
+    walk_complex(rs, kind, acc.add, max_chains)
     return acc
 
 
 def alternating_sum(
-    rs: RootSystem,
-    kind: ComplexKind,
-    *,
-    max_chains: Optional[int] = None,
-    threads: int = 1,
+    rs: RootSystem, kind: ComplexKind, *, max_chains: Optional[int] = None
 ) -> SumVector:
     """Sum of ``(-1)^length * e(stabilizer type)`` over every chain of a complex."""
-    if kind is ComplexKind.CP:
-        return _fold_parabolic_complex(rs.rank, max_chains).to_sum_vector(rs.rank)
-    lat = ideal_lattice(rs)
-    return _fold_ideal_complex(lat, kind, max_chains, threads).to_sum_vector(rs.rank)
+    return _fold(rs, kind, max_chains).to_sum_vector(rs.rank)
 
 
 def closed_form_sum(rs: RootSystem) -> SumVector:
@@ -309,15 +194,15 @@ def boolean_interval_check(rs: RootSystem) -> bool:
     directly on smallest members, independently of stabilizer computations.
     """
     rank = rs.rank
-    subsets = parabolic_subsets(rank)
-    succ = subset_successors(rank)
     buckets: dict[int, int] = {}
-    for id_chain in iter_index_chains(tuple(range(len(subsets))), succ):
-        if not id_chain:
-            continue
-        first = id_chain[0]
-        buckets[first] = buckets.get(first, 0) + (-1 if len(id_chain) % 2 else 1)
-    for i, subset in enumerate(subsets):
+
+    def visit(stack: list[int], stab: int) -> None:
+        if stack:
+            first = stack[0]
+            buckets[first] = buckets.get(first, 0) + (-1 if len(stack) % 2 else 1)
+
+    walk_complex(rs, ComplexKind.CP, visit)
+    for i, subset in enumerate(parabolic_subsets(rank)):
         expected = -1 if (rank - len(subset)) % 2 else 1
         if buckets.get(i, 0) != expected:
             return False
@@ -331,10 +216,10 @@ class _InvolutionStats:
     complement_sum: _Accumulator = field(default_factory=_Accumulator)
 
 
-def _check_involutions(
-    lat: IdealLattice, max_chains: Optional[int]
+def _walk_ci(
+    lat: IdealLattice, ci: _Accumulator, max_chains: Optional[int]
 ) -> tuple[_InvolutionStats, _InvolutionStats]:
-    """Walk every CI chain once; test both pairings on their domains.
+    """Walk every CI chain once: fold it into ``ci`` and test both pairings.
 
     For each chain in a pairing's domain the laws verified are: the partner
     stays in the domain, has length one off, preserves the stabilizer type
@@ -347,18 +232,18 @@ def _check_involutions(
     radical = lat.radical
     norm_bits = lat.normalizer_bits
     full = lat.full_simple_bits
-    ids = lat.nonzero_ids
-    succ = family_successors(lat, ids)
 
-    def stab(chain: tuple[int, ...]) -> int:
+    def stab_of(chain: tuple[int, ...]) -> int:
         bits = full
         for i in chain:
             bits &= norm_bits[i]
         return bits
 
-    for chain in iter_index_chains(ids, succ, max_chains):
-        if not chain:
-            continue
+    def visit(stack: list[int], stab: int) -> None:
+        ci.add(stack, stab)
+        if not stack:
+            return
+        chain = tuple(stack)
         if not abelian[chain[-1]]:
             partner = pair_nonabelian_ids(lat, chain)
             nonab.checked += 1
@@ -366,24 +251,26 @@ def _check_involutions(
                 abs(len(partner) - len(chain)) == 1
                 and partner[-1] == chain[-1]
                 and not abelian[partner[-1]]
-                and stab(partner) == stab(chain)
+                and stab_of(partner) == stab
                 and pair_nonabelian_ids(lat, partner) == chain
             )
             if not ok:
                 nonab.failed += 1
-            nonab.complement_sum.add(stab(chain), len(chain))
+            nonab.complement_sum.add(chain, stab)
         if not all(radical[i] for i in chain):
             partner = pair_nonradical_ids(lat, chain)
             nonrad.checked += 1
             ok = (
                 abs(len(partner) - len(chain)) == 1
                 and not all(radical[i] for i in partner)
-                and stab(partner) == stab(chain)
+                and stab_of(partner) == stab
                 and pair_nonradical_ids(lat, partner) == chain
             )
             if not ok:
                 nonrad.failed += 1
-            nonrad.complement_sum.add(stab(chain), len(chain))
+            nonrad.complement_sum.add(chain, stab)
+
+    walk_complex(lat.rs, ComplexKind.CI, visit, max_chains)
     return nonab, nonrad
 
 
@@ -413,7 +300,6 @@ def verify(
     rs: RootSystem,
     *,
     max_chains: Optional[int] = DEFAULT_MAX_CHAINS,
-    threads: int = 1,
 ) -> VerificationReport:
     """Run the full identity suite for one root system.
 
@@ -426,15 +312,12 @@ def verify(
     start = time.perf_counter()
     lat = ideal_lattice(rs)
     rank = rs.rank
-    folds = {
-        ComplexKind.CI: _fold_ideal_complex(lat, ComplexKind.CI, max_chains, threads),
-        ComplexKind.CA: _fold_ideal_complex(lat, ComplexKind.CA, max_chains, threads),
-        ComplexKind.CR: _fold_ideal_complex(lat, ComplexKind.CR, max_chains, threads),
-        ComplexKind.CP: _fold_parabolic_complex(rank, max_chains),
-    }
+    folds = {ComplexKind.CI: _Accumulator()}
+    nonab, nonrad = _walk_ci(lat, folds[ComplexKind.CI], max_chains)
+    for kind in (ComplexKind.CA, ComplexKind.CR, ComplexKind.CP):
+        folds[kind] = _fold(rs, kind, max_chains)
     sums = {kind: acc.to_sum_vector(rank) for kind, acc in folds.items()}
     closed = closed_form_sum(rs)
-    nonab, nonrad = _check_involutions(lat, max_chains)
     nonab_complement = nonab.complement_sum.to_sum_vector(rank)
     nonrad_complement = nonrad.complement_sum.to_sum_vector(rank)
     nonab_cancels = (

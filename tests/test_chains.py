@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from nilchain import (
@@ -14,6 +16,7 @@ from nilchain import (
     membership,
     normalizer_type,
 )
+from nilchain.cli import run
 
 from conftest import ACCEPTANCE_SYSTEMS, system
 
@@ -217,9 +220,19 @@ def test_chain_str(a2):
     assert str(Chain(a2, ())) == "[]"
 
 
-def test_max_chains_guard(a2):
+def test_max_chains_guard(a2, monkeypatch, capsys):
     with pytest.raises(ChainLimitExceeded):
         enumerate_chains(a2, ComplexKind.CI, max_chains=5)
     with pytest.raises(ChainLimitExceeded):
         enumerate_chains(a2, ComplexKind.CP, max_chains=5)
     assert sum(1 for _ in enumerate_chains(a2, ComplexKind.CI, max_chains=12)) == 12
+    # Every complex has the empty chain, so a limit below 1 is a usage error.
+    for command in (["chains", "--complex", "ci"], ["verify"]):
+        argv = command + ["--type", "A", "--rank", "2"]
+        for value in ("0", "-3"):
+            assert run(argv + ["--max-chains", value], out=io.StringIO()) == 2
+            assert f"--max-chains must be at least 1, got {value}" in capsys.readouterr().err
+            monkeypatch.setenv("NILCHAIN_MAX_CHAINS", value)
+            assert run(argv, out=io.StringIO()) == 2
+            assert f"NILCHAIN_MAX_CHAINS must be at least 1, got {value}" in capsys.readouterr().err
+            monkeypatch.delenv("NILCHAIN_MAX_CHAINS")

@@ -177,16 +177,6 @@ def test_max_chains_flag_and_env(monkeypatch, capsys):
     assert code == 2
 
 
-def test_verify_threads_flag():
-    single = invoke("verify", "--type", "A", "--rank", "3", "--format", "json")
-    multi = invoke("verify", "--type", "A", "--rank", "3", "--format", "json", "--threads", "3")
-    assert single[0] == multi[0] == 0
-    a, b = json.loads(single[1]), json.loads(multi[1])
-    a.pop("elapsed_ms")
-    b.pop("elapsed_ms")
-    assert a == b
-
-
 def test_output_determinism():
     first = invoke("verify", "--type", "G", "--rank", "2", "--format", "json")
     second = invoke("verify", "--type", "G", "--rank", "2", "--format", "json")

@@ -7,6 +7,7 @@ from nilchain import (
     derived_ideal,
     enumerate_ideals,
     full_parabolic_type,
+    ideal_lattice,
     is_abelian,
     is_radical_member,
     nilradical_of_parabolic,
@@ -219,3 +220,21 @@ def test_upward_closure_of_any_seed_is_an_enumerated_ideal(case):
                 frontier.append(up)
     closed = Ideal.from_mask(rs, mask)  # constructor validates closure
     assert closed in enumerate_ideals(rs)
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_SYSTEMS + [("A", 4), ("F", 4)])
+def test_lattice_tables_match_object_predicates(family, rank):
+    rs = system(family, rank)
+    lat = ideal_lattice(rs)
+    ideals = enumerate_ideals(rs)
+    assert lat.masks == tuple(n.mask for n in ideals)
+    for i, n in enumerate(ideals):
+        assert lat.containers[i] == sum(
+            1 << j for j, m in enumerate(ideals) if n.mask | m.mask == m.mask
+        )
+        assert lat.abelian[i] == is_abelian(n)
+        assert lat.radical[i] == is_radical_member(n)
+        assert lat.ideal(lat.derived[i]) == derived_ideal(n)
+        norm = normalizer_type(n)
+        assert lat.ideal(lat.radical_closure[i]) == nilradical_of_parabolic(rs, norm)
+        assert lat.normalizer_bits[i] == sum(1 << (j - 1) for j in norm)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from nilchain import (
     pair_nonradical,
     verify,
 )
+from nilchain.chains import complex_family, count_index_chains
 
 from conftest import ACCEPTANCE_SYSTEMS, system
 
@@ -164,20 +167,9 @@ def test_report_dict_is_json_stable(a2):
     assert all(isinstance(v, bool) for v in doc["verdicts"].values())
 
 
-def test_threads_match_single_threaded():
-    rs = system("B", 3)
-    single = verify(rs, threads=1).to_dict()
-    multi = verify(rs, threads=4).to_dict()
-    single.pop("elapsed_ms")
-    multi.pop("elapsed_ms")
-    assert single == multi
-
-
 def test_verify_respects_max_chains(a2):
     with pytest.raises(ChainLimitExceeded):
         verify(a2, max_chains=10)
-    with pytest.raises(ChainLimitExceeded):
-        verify(a2, max_chains=10, threads=2)
     assert verify(a2, max_chains=12).ok
 
 
@@ -186,3 +178,26 @@ def test_alternating_sum_respects_max_chains(a2):
         alternating_sum(a2, ComplexKind.CI, max_chains=3)
     with pytest.raises(ChainLimitExceeded):
         alternating_sum(a2, ComplexKind.CP, max_chains=3)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_walker_matches_stream(family, rank):
+    # The folds run on the recursive walker; the streamed object-level chains
+    # are their independent reference.
+    rs = system(family, rank)
+    report = verify(rs)
+    for kind in ComplexKind:
+        by_length, signed = Counter(), Counter()
+        for chain in enumerate_chains(rs, kind):
+            by_length[chain.length] += 1
+            signed[chain_stabilizer_type(chain)] += chain.sign
+        total = sum(by_length.values())
+        assert alternating_sum(rs, kind) == SumVector(signed), kind
+        summary = report.complexes[kind.name]
+        assert (summary.total, summary.by_length) == (total, dict(by_length)), kind
+        assert summary.sum == SumVector(signed), kind
+        ids, succ, _ = complex_family(rs, kind)
+        assert count_index_chains(ids, succ) == total, kind
+        alternating_sum(rs, kind, max_chains=total)
+        with pytest.raises(ChainLimitExceeded):
+            alternating_sum(rs, kind, max_chains=total - 1)
