@@ -10,9 +10,10 @@ Four simplicial complexes are enumerated over a fixed Borel subalgebra:
   parabolics; the full group is the implicit top and never a member).
 
 Chains never store the zero ideal, so a chain's length is its member count
-and the empty chain is the (-1)-simplex of every complex.  Enumeration is a
-depth-first walk of the containment order emitting chains in lexicographic
-order of member index sequences; it streams with constant memory per path.
+and the empty chain is the (-1)-simplex of every complex.  Counting goes
+down the containment order without visiting chains; enumeration is a
+depth-first walk of it emitting chains in lexicographic order of member
+index sequences, and streams with constant memory per path.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def walk_chains(
     ``stack`` is the chain's member ids, one list mutated between calls, so
     a visitor that keeps a chain copies it.  ``stab`` is ``full`` ANDed with
     ``bits`` of every member.  A recursive visitor, not a generator: the
-    folds run on it, and resuming a generator once per chain slows them.
+    pairing-law check runs on it, and resuming a generator once per chain
+    slows it.
     """
     stack: list[int] = []
 
@@ -241,6 +243,37 @@ def family_successors(
             above ^= low
         table[i] = tuple(ids)
     return tuple(table)
+
+
+def tally_chains(
+    family_ids: tuple[int, ...],
+    succ_within: tuple[tuple[int, ...], ...],
+    bits: tuple[int, ...],
+) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
+    """Signed stabilizer counts and length counts of the chains starting at each member.
+
+    For member ``i``, ``signed[i]`` maps a stabilizer bitmask to the sum of
+    ``(-1)^length`` and ``lengths[i]`` maps a length to a count, both over
+    the chains whose smallest member is ``i``.  Such a chain is ``i`` alone
+    or ``i`` under a chain starting at one of its successors, so members are
+    taken from the top down and no chain is visited.  The empty chain is in
+    no member's maps.
+    """
+    signed: dict[int, dict[int, int]] = {}
+    lengths: dict[int, dict[int, int]] = {}
+    for i in reversed(family_ids):
+        mask = bits[i]
+        here_signed = {mask: -1}
+        here_lengths = {1: 1}
+        for j in succ_within[i]:
+            for stab, c in signed[j].items():
+                key = stab & mask
+                here_signed[key] = here_signed.get(key, 0) - c
+            for length, c in lengths[j].items():
+                here_lengths[length + 1] = here_lengths.get(length + 1, 0) + c
+        signed[i] = here_signed
+        lengths[i] = here_lengths
+    return signed, lengths
 
 
 def count_index_chains(
@@ -285,32 +318,16 @@ def complex_family(
     return ids, family_successors(lat, ids), lat.normalizer_bits
 
 
-def _precheck_limit(
+def check_chain_limit(
     ids: tuple[int, ...],
     succ: tuple[tuple[int, ...], ...],
     max_chains: Optional[int],
 ) -> None:
+    """Raise ``ChainLimitExceeded`` if the exact chain total exceeds ``max_chains``."""
     if max_chains is not None:
         total = count_index_chains(ids, succ)
         if total > max_chains:
             raise ChainLimitExceeded(max_chains, total)
-
-
-def walk_complex(
-    rs: RootSystem,
-    kind: ComplexKind,
-    visit: Callable[[list[int], int], None],
-    max_chains: Optional[int] = None,
-) -> None:
-    """Run ``walk_chains`` over every chain of a complex, stabilizer bits included.
-
-    Bit ``i - 1`` of ``stab`` stands for simple index ``i``; the empty chain
-    gets all of them.  If the exact total exceeds ``max_chains``,
-    ``ChainLimitExceeded`` is raised before the first visit.
-    """
-    ids, succ, bits = complex_family(rs, kind)
-    _precheck_limit(ids, succ, max_chains)
-    walk_chains(ids, succ, bits, (1 << rs.rank) - 1, visit)
 
 
 def enumerate_chains(
@@ -325,7 +342,7 @@ def enumerate_chains(
     emitted.
     """
     ids, succ, _ = complex_family(rs, kind)
-    _precheck_limit(ids, succ, max_chains)
+    check_chain_limit(ids, succ, max_chains)
     if kind is ComplexKind.CP:
         subsets = parabolic_subsets(rs.rank)
         return (

@@ -22,13 +22,7 @@ from .chains import (
     enumerate_chains,
     membership,
 )
-from .ideals import (
-    Ideal,
-    enumerate_ideals,
-    is_abelian,
-    is_radical_member,
-    normalizer_type,
-)
+from .ideals import Ideal, enumerate_ideals, ideal_lattice
 from .pairings import PairingDomainError, pair_nonabelian, pair_nonradical
 from .root_system import RootSystem, RootSystemSpec, build_root_system
 from .sums import DEFAULT_MAX_CHAINS, verify
@@ -189,15 +183,17 @@ def _cmd_roots(args: argparse.Namespace, out) -> int:
 
 def _cmd_ideals(args: argparse.Namespace, out) -> int:
     rs = _build(args)
+    lat = ideal_lattice(rs)
     rows = []
-    for n in enumerate_ideals(rs):
-        abelian = is_abelian(n)
-        radical = not n.is_zero and is_radical_member(n)
+    # Canonical order is the lattice's id order, so flags are read by position.
+    for i, n in enumerate(enumerate_ideals(rs)):
+        abelian = lat.abelian[i]
+        radical = i != 0 and lat.radical[i]
         if args.abelian and not abelian:
             continue
         if args.radical and not radical:
             continue
-        rows.append((n, abelian, radical, normalizer_type(n)))
+        rows.append((n, abelian, radical, lat.normalizer_type_of(i)))
     if args.format == "json":
         doc = {
             "type": rs.spec.family,

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .chains import (
     ComplexKind,
     chain_stabilizer_type,
+    check_chain_limit,
+    complex_family,
     cp_to_cr,
     cr_to_cp,
     enumerate_chains,
-    parabolic_subsets,
-    walk_complex,
+    tally_chains,
+    walk_chains,
 )
 from .ideals import IdealLattice, ParabolicType, ideal_lattice, normalizer_type
 from .pairings import pair_nonabelian_ids, pair_nonradical_ids
@@ -135,44 +137,42 @@ class VerificationReport:
         }
 
 
-class _Accumulator:
-    """Signed counts per stabilizer bitmask plus a length histogram."""
-
-    __slots__ = ("sums", "by_length", "total")
-
-    def __init__(self) -> None:
-        self.sums: dict[int, int] = {}
-        self.by_length: dict[int, int] = {}
-        self.total = 0
-
-    def add(self, chain: Sequence[int], stab_bits: int) -> None:
-        """Count one chain; the signature is a ``walk_chains`` visitor's."""
-        length = len(chain)
-        sign = -1 if length % 2 else 1
-        self.sums[stab_bits] = self.sums.get(stab_bits, 0) + sign
-        self.by_length[length] = self.by_length.get(length, 0) + 1
-        self.total += 1
-
-    def to_sum_vector(self, rank: int) -> SumVector:
-        return SumVector(
-            {
-                frozenset(i + 1 for i in range(rank) if (bits >> i) & 1): c
-                for bits, c in self.sums.items()
-            }
-        )
+def _sum_vector(signed: Mapping[int, int], rank: int) -> SumVector:
+    """A ``{stabilizer bitmask: count}`` map as a vector; bit ``i - 1`` is index ``i``."""
+    return SumVector(
+        {
+            frozenset(i + 1 for i in range(rank) if (bits >> i) & 1): c
+            for bits, c in signed.items()
+        }
+    )
 
 
-def _fold(rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]) -> _Accumulator:
-    acc = _Accumulator()
-    walk_complex(rs, kind, acc.add, max_chains)
-    return acc
+def _summarize(
+    rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]
+) -> ComplexSummary:
+    """Total, length histogram and alternating sum of a complex, counted not walked.
+
+    ``ChainLimitExceeded`` is raised before the count if the exact chain
+    total exceeds ``max_chains``.
+    """
+    ids, succ, bits = complex_family(rs, kind)
+    check_chain_limit(ids, succ, max_chains)
+    signed, lengths = tally_chains(ids, succ, bits)
+    sums = {(1 << rs.rank) - 1: 1}
+    by_length = {0: 1}
+    for i in ids:
+        for stab, c in signed[i].items():
+            sums[stab] = sums.get(stab, 0) + c
+        for length, c in lengths[i].items():
+            by_length[length] = by_length.get(length, 0) + c
+    return ComplexSummary(kind, sum(by_length.values()), by_length, _sum_vector(sums, rs.rank))
 
 
 def alternating_sum(
     rs: RootSystem, kind: ComplexKind, *, max_chains: Optional[int] = None
 ) -> SumVector:
     """Sum of ``(-1)^length * e(stabilizer type)`` over every chain of a complex."""
-    return _fold(rs, kind, max_chains).to_sum_vector(rs.rank)
+    return _summarize(rs, kind, max_chains).sum
 
 
 def closed_form_sum(rs: RootSystem) -> SumVector:
@@ -190,41 +190,32 @@ def boolean_interval_check(rs: RootSystem) -> bool:
 
     For every proper subset I of the simple indices, the signed count of
     parabolic chains with smallest member I must equal ``(-1)^corank(I)``;
-    the empty chain contributes ``+1`` at the full set.  Buckets are formed
-    directly on smallest members, independently of stabilizer computations.
+    the empty chain contributes ``+1`` at the full set.  Buckets are the
+    CP tally's per-member totals, so they are formed on smallest members,
+    independently of stabilizers.
     """
-    rank = rs.rank
-    buckets: dict[int, int] = {}
-
-    def visit(stack: list[int], stab: int) -> None:
-        if stack:
-            first = stack[0]
-            buckets[first] = buckets.get(first, 0) + (-1 if len(stack) % 2 else 1)
-
-    walk_complex(rs, ComplexKind.CP, visit)
-    for i, subset in enumerate(parabolic_subsets(rank)):
-        expected = -1 if (rank - len(subset)) % 2 else 1
-        if buckets.get(i, 0) != expected:
-            return False
-    return True
+    ids, succ, bits = complex_family(rs, ComplexKind.CP)
+    signed, _ = tally_chains(ids, succ, bits)
+    return all(
+        sum(signed[i].values()) == (-1 if (rs.rank - bits[i].bit_count()) % 2 else 1)
+        for i in ids
+    )
 
 
 @dataclass
 class _InvolutionStats:
     checked: int = 0
     failed: int = 0
-    complement_sum: _Accumulator = field(default_factory=_Accumulator)
+    complement_sum: dict[int, int] = field(default_factory=dict)
 
 
-def _walk_ci(
-    lat: IdealLattice, ci: _Accumulator, max_chains: Optional[int]
-) -> tuple[_InvolutionStats, _InvolutionStats]:
-    """Walk every CI chain once: fold it into ``ci`` and test both pairings.
+def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
+    """Walk every CI chain once and test both pairings; the caller guards the total.
 
     For each chain in a pairing's domain the laws verified are: the partner
     stays in the domain, has length one off, preserves the stabilizer type
     (and the top member, for the nonabelian pairing), and pairs back to the
-    original chain.
+    original chain.  Each domain's signed sum is kept per stabilizer bitmask.
     """
     nonab = _InvolutionStats()
     nonrad = _InvolutionStats()
@@ -240,10 +231,10 @@ def _walk_ci(
         return bits
 
     def visit(stack: list[int], stab: int) -> None:
-        ci.add(stack, stab)
         if not stack:
             return
         chain = tuple(stack)
+        sign = -1 if len(chain) % 2 else 1
         if not abelian[chain[-1]]:
             partner = pair_nonabelian_ids(lat, chain)
             nonab.checked += 1
@@ -256,7 +247,7 @@ def _walk_ci(
             )
             if not ok:
                 nonab.failed += 1
-            nonab.complement_sum.add(chain, stab)
+            nonab.complement_sum[stab] = nonab.complement_sum.get(stab, 0) + sign
         if not all(radical[i] for i in chain):
             partner = pair_nonradical_ids(lat, chain)
             nonrad.checked += 1
@@ -268,9 +259,10 @@ def _walk_ci(
             )
             if not ok:
                 nonrad.failed += 1
-            nonrad.complement_sum.add(chain, stab)
+            nonrad.complement_sum[stab] = nonrad.complement_sum.get(stab, 0) + sign
 
-    walk_complex(lat.rs, ComplexKind.CI, visit, max_chains)
+    ids, succ, _ = complex_family(lat.rs, ComplexKind.CI)
+    walk_chains(ids, succ, norm_bits, full, visit)
     return nonab, nonrad
 
 
@@ -312,14 +304,12 @@ def verify(
     start = time.perf_counter()
     lat = ideal_lattice(rs)
     rank = rs.rank
-    folds = {ComplexKind.CI: _Accumulator()}
-    nonab, nonrad = _walk_ci(lat, folds[ComplexKind.CI], max_chains)
-    for kind in (ComplexKind.CA, ComplexKind.CR, ComplexKind.CP):
-        folds[kind] = _fold(rs, kind, max_chains)
-    sums = {kind: acc.to_sum_vector(rank) for kind, acc in folds.items()}
+    summaries = {kind: _summarize(rs, kind, max_chains) for kind in ComplexKind}
+    sums = {kind: summary.sum for kind, summary in summaries.items()}
+    nonab, nonrad = _walk_ci(lat)
     closed = closed_form_sum(rs)
-    nonab_complement = nonab.complement_sum.to_sum_vector(rank)
-    nonrad_complement = nonrad.complement_sum.to_sum_vector(rank)
+    nonab_complement = _sum_vector(nonab.complement_sum, rank)
+    nonrad_complement = _sum_vector(nonrad.complement_sum, rank)
     nonab_cancels = (
         nonab_complement.is_zero
         and sums[ComplexKind.CI] - sums[ComplexKind.CA] == nonab_complement
@@ -350,15 +340,7 @@ def verify(
     return VerificationReport(
         family=rs.spec.family,
         rank=rank,
-        complexes={
-            kind.name: ComplexSummary(
-                kind=kind,
-                total=folds[kind].total,
-                by_length=dict(folds[kind].by_length),
-                sum=sums[kind],
-            )
-            for kind in (ComplexKind.CI, ComplexKind.CA, ComplexKind.CR, ComplexKind.CP)
-        },
+        complexes={kind.name: summary for kind, summary in summaries.items()},
         closed_form=closed,
         verdicts=verdicts,
         involution_checks={

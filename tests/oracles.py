@@ -145,6 +145,21 @@ def upper_sets_by_antichains(root_vectors: list[tuple[int, ...]]) -> set[frozens
     return out
 
 
+def parabolic_chain_histogram(rank: int) -> dict[int, int]:
+    """CP (and so CR) chains by length: ``k! * S(rank + 1, k + 1)`` for ``k = 0..rank``.
+
+    A length-``k`` chain of proper subsets, topped by the full set, cuts the
+    simple indices into ``k + 1`` consecutive differences, all nonempty but
+    the first.  Adding one extra point to the first makes them the ordered
+    partitions of ``rank + 1`` points into ``k + 1`` blocks with the extra
+    point's block first.  ``S`` is the Stirling number of the second kind.
+    """
+    return {
+        k: int(sympy.factorial(k) * sympy.functions.combinatorial.numbers.stirling(rank + 1, k + 1))
+        for k in range(rank + 1)
+    }
+
+
 def _basis(dim: int) -> list[tuple[int, ...]]:
     return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
 

@@ -22,7 +22,11 @@ from nilchain import (
 )
 
 from conftest import ACCEPTANCE_SYSTEMS, system
-from oracles import upper_closed_subsets_by_filter, upper_sets_by_antichains
+from oracles import (
+    parabolic_chain_histogram,
+    upper_closed_subsets_by_filter,
+    upper_sets_by_antichains,
+)
 
 FAST_SYSTEMS = {("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)}
 
@@ -124,6 +128,24 @@ def test_criterion_6_cr_cp_bijection():
             total += 1
         assert report_for(family, rank).verdicts["cr_cp_bijection"]
         print(f"PASS criterion 6 [{family}{rank}]: CR<->CP bijection on {total} chains")
+
+
+def test_counted_histograms_pinned():
+    d4 = report_for("D", 4).complexes
+    assert d4["CI"].by_length == {
+        0: 1, 1: 49, 2: 782, 3: 6198, 4: 29035, 5: 87923, 6: 180644,
+        7: 257712, 8: 256158, 9: 174390, 10: 77652, 11: 20400, 12: 2400,
+    }
+    assert d4["CA"].by_length == {0: 1, 1: 15, 2: 60, 3: 106, 4: 93, 5: 39, 6: 6}
+    for family, rank in ACCEPTANCE_SYSTEMS:
+        complexes = report_for(family, rank).complexes
+        for name in ("CR", "CP"):
+            assert complexes[name].by_length == parabolic_chain_histogram(rank), (
+                family,
+                rank,
+                name,
+            )
+    print("PASS histograms: D4 CI/CA pinned, CR/CP by length = k! S(rank+1, k+1)")
 
 
 def test_criterion_7_a2_golden_fixture():

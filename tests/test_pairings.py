@@ -105,18 +105,25 @@ def diagram_automorphisms(rs):
     return out
 
 
+# Image of an ideal under a diagram automorphism, per (spec, perm, mask).
+_IMAGES = {}
+
+
 def apply_automorphism(rs, perm, chain):
     inverse = [0] * len(perm)
     for i, p in enumerate(perm):
         inverse[p] = i
 
     def map_ideal(n):
-        indices = []
-        for r in n.root_indices():
-            coeffs = rs.positive_roots[r].coeffs
-            image = tuple(coeffs[inverse[k]] for k in range(len(perm)))
-            indices.append(rs.index_of(image))
-        return Ideal(rs, indices)
+        key = (rs.spec, perm, n.mask)
+        if key not in _IMAGES:
+            indices = []
+            for r in n.root_indices():
+                coeffs = rs.positive_roots[r].coeffs
+                image = tuple(coeffs[inverse[k]] for k in range(len(perm)))
+                indices.append(rs.index_of(image))
+            _IMAGES[key] = Ideal(rs, indices)
+        return _IMAGES[key]
 
     return Chain(rs, tuple(map_ideal(n) for n in chain.members))
 

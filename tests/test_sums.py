@@ -18,9 +18,10 @@ from nilchain import (
     pair_nonradical,
     verify,
 )
-from nilchain.chains import complex_family, count_index_chains
+from nilchain.chains import complex_family, count_index_chains, tally_chains
 
 from conftest import ACCEPTANCE_SYSTEMS, system
+from oracles import parabolic_chain_histogram
 
 S2 = frozenset({1, 2})
 A2_VECTOR = SumVector({S2: 1, frozenset({1}): -1, frozenset({2}): -1, frozenset(): 1})
@@ -182,8 +183,8 @@ def test_alternating_sum_respects_max_chains(a2):
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
 def test_walker_matches_stream(family, rank):
-    # The folds run on the recursive walker; the streamed object-level chains
-    # are their independent reference.
+    # Sums, totals and histograms are counted over the lattice; the streamed
+    # object-level chains are their independent reference.
     rs = system(family, rank)
     report = verify(rs)
     for kind in ComplexKind:
@@ -201,3 +202,33 @@ def test_walker_matches_stream(family, rank):
         alternating_sum(rs, kind, max_chains=total)
         with pytest.raises(ChainLimitExceeded):
             alternating_sum(rs, kind, max_chains=total - 1)
+
+
+def test_counted_sums_past_the_stream():
+    # Too many CI chains to stream, but CA, CR and CP are counted exactly.
+    # CA totals are the ones the exhaustive walk counted; CR and CP totals
+    # are 2 * Fubini(rank), the sum of the ordered-partition histogram.
+    ca_totals = {("A", 5): 8_864, ("F", 4): 2_368, ("E", 6): 3_206_336}
+    cp_totals = {("A", 5): 1_082, ("F", 4): 150, ("E", 6): 9_366}
+    for (family, rank), ca_total in ca_totals.items():
+        rs = system(family, rank)
+        histogram = parabolic_chain_histogram(rank)
+        assert sum(histogram.values()) == cp_totals[(family, rank)]
+        totals = {
+            ComplexKind.CA: ca_total,
+            ComplexKind.CR: cp_totals[(family, rank)],
+            ComplexKind.CP: cp_totals[(family, rank)],
+        }
+        for kind, total in totals.items():
+            assert alternating_sum(rs, kind) == closed_form_sum(rs), (family, rank, kind)
+            alternating_sum(rs, kind, max_chains=total)
+            with pytest.raises(ChainLimitExceeded):
+                alternating_sum(rs, kind, max_chains=total - 1)
+            if kind is not ComplexKind.CA:
+                ids, succ, bits = complex_family(rs, kind)
+                by_length = Counter({0: 1})
+                for counts in tally_chains(ids, succ, bits)[1].values():
+                    by_length.update(counts)
+                assert dict(by_length) == histogram, (family, rank, kind)
+    for rank in range(5, 9):
+        assert boolean_interval_check(system("A", rank)), rank
