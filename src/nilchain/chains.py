@@ -11,9 +11,9 @@ Four simplicial complexes are enumerated over a fixed Borel subalgebra:
 
 Chains never store the zero ideal, so a chain's length is its member count
 and the empty chain is the (-1)-simplex of every complex.  Counting goes
-down the containment order without visiting chains; enumeration is a
-depth-first walk of it emitting chains in lexicographic order of member
-index sequences, and streams with constant memory per path.
+down the containment order without visiting chains; enumeration streams
+chains depth-first, in lexicographic order of member index sequences, with
+constant memory per path.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .ideals import (
     Ideal,
@@ -197,33 +197,6 @@ def iter_index_chains(
             stack.pop()
 
     yield from walk(family_ids)
-
-
-def walk_chains(
-    family_ids: tuple[int, ...],
-    succ_within: tuple[tuple[int, ...], ...],
-    bits: tuple[int, ...],
-    full: int,
-    visit: Callable[[list[int], int], None],
-) -> None:
-    """Call ``visit(stack, stab)`` once per chain, in ``iter_index_chains`` order.
-
-    ``stack`` is the chain's member ids, one list mutated between calls, so
-    a visitor that keeps a chain copies it.  ``stab`` is ``full`` ANDed with
-    ``bits`` of every member.  A recursive visitor, not a generator: the
-    pairing-law check runs on it, and resuming a generator once per chain
-    slows it.
-    """
-    stack: list[int] = []
-
-    def walk(nexts: tuple[int, ...], stab: int) -> None:
-        visit(stack, stab)
-        for nxt in nexts:
-            stack.append(nxt)
-            walk(succ_within[nxt], stab & bits[nxt])
-            stack.pop()
-
-    walk(family_ids, full)
 
 
 def family_successors(

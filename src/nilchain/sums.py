@@ -12,10 +12,11 @@ All arithmetic is exact (Python integers), so verdicts carry no tolerance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .chains import (
+    Chain,
     ComplexKind,
     chain_stabilizer_type,
     check_chain_limit,
@@ -24,7 +25,6 @@ from .chains import (
     cr_to_cp,
     enumerate_chains,
     tally_chains,
-    walk_chains,
 )
 from .ideals import IdealLattice, ParabolicType, ideal_lattice, normalizer_type
 from .pairings import pair_nonabelian_ids, pair_nonradical_ids
@@ -204,65 +204,127 @@ def boolean_interval_check(rs: RootSystem) -> bool:
 
 @dataclass
 class _InvolutionStats:
-    checked: int = 0
-    failed: int = 0
-    complement_sum: dict[int, int] = field(default_factory=dict)
+    """One pairing's walk: its domain's chains by parity, and what broke a law."""
+
+    # Domain chains counted by ``stab << 1 | even``, for each stabilizer
+    # bitmask ``stab`` and ``even`` 1 for even length, 0 for odd.
+    tally: list[int]
+    failed_even: int = 0
+    first_failure: tuple[int, ...] = ()
+
+    @property
+    def even(self) -> int:
+        return sum(self.tally[1::2])
+
+    @property
+    def odd(self) -> int:
+        return sum(self.tally[0::2])
+
+    @property
+    def complement_sum(self) -> dict[int, int]:
+        """Signed count of the domain's chains per stabilizer bitmask."""
+        tally = self.tally
+        return {stab: tally[2 * stab + 1] - tally[2 * stab] for stab in range(len(tally) // 2)}
+
+    @property
+    def checked(self) -> int:
+        return sum(self.tally)
+
+    @property
+    def failed(self) -> int:
+        return self.failed_even + abs(self.odd - self.even)
+
+    def note(self, name: str, lat: IdealLattice) -> str:
+        """A sentence naming the first counterexample, or ``""`` if none."""
+        if self.first_failure:
+            chain = Chain(lat.rs, tuple(map(lat.ideal, self.first_failure)))
+            return f" The {name} pairing breaks a law at {chain}."
+        if self.odd != self.even:
+            return (
+                f" The {name} pairing's domain has {self.even} even-length "
+                f"and {self.odd} odd-length chains."
+            )
+        return ""
 
 
 def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
     """Walk every CI chain once and test both pairings; the caller guards the total.
 
-    For each chain in a pairing's domain the laws verified are: the partner
-    stays in the domain, has length one off, preserves the stabilizer type
-    (and the top member, for the nonabelian pairing), and pairs back to the
-    original chain.  Each domain's signed sum is kept per stabilizer bitmask.
+    The laws are tested on each even-length chain ``e`` of a pairing's
+    domain: its partner ``p`` is a chain in the domain, of length one off,
+    with the same stabilizer (and the same top member, for the nonabelian
+    pairing), and pairs back to ``e``.  Those laws make the pairing an
+    injection from the domain's even chains into its odd ones, undone by
+    itself; if the two are equally many, every odd chain is some ``p``, and
+    every law holds there too.  So a law fails somewhere exactly when an
+    even chain fails one or the counts differ, and the pairing is called
+    once per domain chain.  Each domain's chains are tallied per stabilizer
+    bitmask and parity.
     """
-    nonab = _InvolutionStats()
-    nonrad = _InvolutionStats()
+    nonab = _InvolutionStats([0] * (2 << lat.rs.rank))
+    nonrad = _InvolutionStats([0] * (2 << lat.rs.rank))
+    # Read from the module at each call, so a pairing patched there is the one tested.
+    pair_nonab = pair_nonabelian_ids
+    pair_nonrad = pair_nonradical_ids
     abelian = lat.abelian
     radical = lat.radical
     norm_bits = lat.normalizer_bits
     full = lat.full_simple_bits
+    strictly_above = tuple(c & ~(1 << i) for i, c in enumerate(lat.containers))
+    nonab_tally = nonab.tally
+    nonrad_tally = nonrad.tally
 
-    def stab_of(chain: tuple[int, ...]) -> int:
-        bits = full
-        for i in chain:
-            bits &= norm_bits[i]
-        return bits
+    def chain_stab(ids: tuple[int, ...]) -> int:
+        """The stabilizer bitmask of ``ids``, or -1 unless each member is
+        nonzero and strictly inside the next.
 
-    def visit(stack: list[int], stab: int) -> None:
-        if not stack:
-            return
-        chain = tuple(stack)
-        sign = -1 if len(chain) % 2 else 1
-        if not abelian[chain[-1]]:
-            partner = pair_nonabelian_ids(lat, chain)
-            nonab.checked += 1
-            ok = (
-                abs(len(partner) - len(chain)) == 1
-                and partner[-1] == chain[-1]
-                and not abelian[partner[-1]]
-                and stab_of(partner) == stab
-                and pair_nonabelian_ids(lat, partner) == chain
-            )
-            if not ok:
-                nonab.failed += 1
-            nonab.complement_sum[stab] = nonab.complement_sum.get(stab, 0) + sign
-        if not all(radical[i] for i in chain):
-            partner = pair_nonradical_ids(lat, chain)
-            nonrad.checked += 1
-            ok = (
-                abs(len(partner) - len(chain)) == 1
-                and not all(radical[i] for i in partner)
-                and stab_of(partner) == stab
-                and pair_nonradical_ids(lat, partner) == chain
-            )
-            if not ok:
-                nonrad.failed += 1
-            nonrad.complement_sum[stab] = nonrad.complement_sum.get(stab, 0) + sign
+        A plain loop: on tuples this short it beats ``reduce``/``map``.
+        """
+        stab = full
+        below = 0  # the zero ideal's id
+        for i in ids:
+            if not strictly_above[below] >> i & 1:
+                return -1
+            stab &= norm_bits[i]
+            below = i
+        return stab
+
+    def walk(chain: tuple[int, ...], stab: int, all_radical: bool, even: int, nexts) -> None:
+        # ``even`` is 1 when the children of ``chain`` have even length; a
+        # partner one off in length from a chain of length >= 2 is nonempty.
+        for nxt in nexts:
+            child = chain + (nxt,)
+            child_stab = stab & norm_bits[nxt]
+            child_radical = all_radical and radical[nxt]
+            key = child_stab << 1 | even
+            if not abelian[nxt]:
+                nonab_tally[key] += 1
+                if even:
+                    partner = pair_nonab(lat, child)
+                    if not (
+                        abs(len(partner) - len(child)) == 1
+                        and partner[-1] == nxt
+                        and chain_stab(partner) == child_stab
+                        and pair_nonab(lat, partner) == child
+                    ):
+                        nonab.failed_even += 1
+                        nonab.first_failure = nonab.first_failure or child
+            if not child_radical:
+                nonrad_tally[key] += 1
+                if even:
+                    partner = pair_nonrad(lat, child)
+                    if not (
+                        abs(len(partner) - len(child)) == 1
+                        and not all(map(radical.__getitem__, partner))
+                        and chain_stab(partner) == child_stab
+                        and pair_nonrad(lat, partner) == child
+                    ):
+                        nonrad.failed_even += 1
+                        nonrad.first_failure = nonrad.first_failure or child
+            walk(child, child_stab, child_radical, 1 - even, succ[nxt])
 
     ids, succ, _ = complex_family(lat.rs, ComplexKind.CI)
-    walk_chains(ids, succ, norm_bits, full, visit)
+    walk((), full, True, 0, ids)
     return nonab, nonrad
 
 
@@ -354,5 +416,7 @@ def verify(
             "enumerated, so those two sums are chain-level, not class-level. "
             "CR and CP members have unique standard representatives, so their "
             "sums agree with the class-level ones."
-        ),
+        )
+        + nonab.note("nonabelian", lat)
+        + nonrad.note("nonradical", lat),
     )

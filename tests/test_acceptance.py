@@ -65,6 +65,13 @@ def test_criterion_2_involution_suite_zero_failures():
         checked = report.involution_checks
         if rank > 1:
             assert checked["nonabelian"] > 0 and checked["nonradical"] > 0
+        # Each domain is the CI chains outside CA (resp. CR); the totals are
+        # counted by the tally, independently of the pairing walk.
+        totals = {name: s.total for name, s in report.complexes.items()}
+        assert checked == {
+            "nonabelian": totals["CI"] - totals["CA"],
+            "nonradical": totals["CI"] - totals["CR"],
+        }, (family, rank)
         print(
             f"PASS criterion 2 [{family}{rank}]: involution laws on "
             f"{checked['nonabelian']}+{checked['nonradical']} chains, zero failures"

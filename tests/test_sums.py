@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -18,7 +19,11 @@ from nilchain import (
     pair_nonradical,
     verify,
 )
+from nilchain import sums
 from nilchain.chains import complex_family, count_index_chains, tally_chains
+from nilchain.cli import parse_chain_literal
+from nilchain.ideals import ideal_lattice
+from nilchain.sums import _InvolutionStats
 
 from conftest import ACCEPTANCE_SYSTEMS, system
 from oracles import parabolic_chain_histogram
@@ -232,3 +237,86 @@ def test_counted_sums_past_the_stream():
                 assert dict(by_length) == histogram, (family, rank, kind)
     for rank in range(5, 9):
         assert boolean_interval_check(system("A", rank)), rank
+
+
+def _first_ci_chain(rs, length, outside):
+    """The first CI chain of a length outside a complex, with its lattice ids."""
+    lat = ideal_lattice(rs)
+    chain = next(
+        c
+        for c in enumerate_chains(rs, ComplexKind.CI)
+        if c.length == length and not membership(outside, c)
+    )
+    return chain, tuple(lat.id_of(n) for n in chain.members)
+
+
+def _counterexample(rs, report, name):
+    match = re.search(rf"The {name} pairing breaks a law at (\[[^\]]*\])\.", report.notes)
+    assert match, report.notes
+    return parse_chain_literal(rs, match.group(1))
+
+
+def test_pairing_wrong_on_one_odd_chain_fails(monkeypatch):
+    # Odd chains are reached only as partners of even ones; a wrong value on
+    # one of them shows as its even partner failing to pair back.
+    rs = system("B", 3)
+    target, target_ids = _first_ci_chain(rs, 3, ComplexKind.CR)
+    real = sums.pair_nonradical_ids
+
+    def wrong_on_target(lat, ids):
+        return ids if ids == target_ids else real(lat, ids)
+
+    monkeypatch.setattr(sums, "pair_nonradical_ids", wrong_on_target)
+    report = verify(rs)
+    assert not report.verdicts["nonradical_involution"]
+    assert report.verdicts["nonabelian_involution"]
+    assert pair_nonradical(_counterexample(rs, report, "nonradical")) == target
+    assert "nonabelian pairing" not in report.notes
+
+
+def test_partner_that_is_no_chain_fails(monkeypatch):
+    # The partner repeats a member, so it is no chain, yet it has the right
+    # length, top and stabilizer and pairs back.
+    rs = system("B", 3)
+    target, target_ids = _first_ci_chain(rs, 2, ComplexKind.CA)
+    repeated = target_ids[:1] + target_ids
+    real = sums.pair_nonabelian_ids
+
+    def repeating(lat, ids):
+        if ids == target_ids:
+            return repeated
+        if ids == repeated:
+            return target_ids
+        return real(lat, ids)
+
+    monkeypatch.setattr(sums, "pair_nonabelian_ids", repeating)
+    report = verify(rs)
+    assert not report.verdicts["nonabelian_involution"]
+    assert report.verdicts["nonradical_involution"]
+    assert _counterexample(rs, report, "nonabelian") == target
+
+
+def test_each_domain_chain_is_paired_once(monkeypatch):
+    rs = system("B", 3)
+    calls = Counter()
+    for name in ("nonabelian", "nonradical"):
+        real = getattr(sums, f"pair_{name}_ids")
+
+        def counting(lat, ids, real=real, name=name):
+            calls[name] += 1
+            return real(lat, ids)
+
+        monkeypatch.setattr(sums, f"pair_{name}_ids", counting)
+    report = verify(rs)
+    assert report.ok
+    assert dict(calls) == report.involution_checks
+
+
+def test_unequal_parity_counts_fail_with_a_note():
+    # The tally is [odd, even] per stabilizer bitmask.
+    stats = _InvolutionStats([4, 3])
+    assert (stats.checked, stats.failed) == (7, 1)
+    assert stats.note("nonradical", ideal_lattice(system("A", 2))) == (
+        " The nonradical pairing's domain has 3 even-length and 4 odd-length chains."
+    )
+    assert _InvolutionStats([4, 4]).note("nonradical", None) == ""
