@@ -127,9 +127,9 @@ def _check_same_system(a: Ideal, b: Ideal) -> None:
 def enumerate_ideals(rs: RootSystem) -> tuple[Ideal, ...]:
     """All ideals of the Borel, in canonical order (ascending size, then mask).
 
-    Depth-first search over the root poset: roots are visited from high to
-    low height, and a root may only be included once all of its upward simple
-    steps are in.  The zero ideal and the full nilradical are both present.
+    Roots are taken from high to low height, and a root may only be included
+    once all of its upward simple steps are in.  The zero ideal and the full
+    nilradical are both present.
     """
     return tuple(Ideal._unchecked(rs, m) for m in _ideal_masks(rs))
 
@@ -147,21 +147,18 @@ def _up_masks(rs: RootSystem) -> tuple[int, ...]:
 
 
 def _ideal_masks(rs: RootSystem) -> tuple[int, ...]:
-    m = rs.num_positive_roots
+    """All ideal masks, in canonical order.
+
+    Roots are taken from the last (highest) to the first.  After each root,
+    the list holds every ideal within the roots taken so far: each earlier
+    one, and each earlier one plus the new root when all of its upward simple
+    steps (higher, so already taken) are in it.
+    """
     ups = _up_masks(rs)
-    order = sorted(range(m), key=lambda r: -rs.positive_roots[r].height)
-    found: list[int] = []
-
-    def walk(pos: int, mask: int) -> None:
-        if pos == m:
-            found.append(mask)
-            return
-        r = order[pos]
-        walk(pos + 1, mask)
-        if mask & ups[r] == ups[r]:
-            walk(pos + 1, mask | (1 << r))
-
-    walk(0, 0)
+    found = [0]
+    for r in reversed(range(rs.num_positive_roots)):
+        up, bit = ups[r], 1 << r
+        found += [mk | bit for mk in found if mk & up == up]
     found.sort(key=lambda mk: (mk.bit_count(), mk))
     return tuple(found)
 
@@ -186,6 +183,65 @@ def _containers(
                 bits |= out[index[mask | 1 << r]]
         out[i] = bits
     return tuple(out)
+
+
+def _derived_and_normalizers(
+    rs: RootSystem, masks: tuple[int, ...], index: dict[int, int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per ideal id, the id of its derived ideal and its normalizer bits.
+
+    Both go over covers, as the ``IdealLattice`` docstring explains: ``r``
+    is the lowest-index root of ``t`` (roots are sorted by height), and
+    ``s = t - {r}``.  Besides ``derived``, each ideal carries ``low[i]``,
+    the roots ``c`` with ``c + alpha_i`` in it, so that
+    ``low[i](t) = low[i](s) | {r - alpha_i}``.  Simple position ``i`` is in
+    the normalizer exactly when ``alpha_i`` is not in ``t`` and ``low[i](t)``
+    lies inside ``t``: no step ``(c, c + alpha_i)`` leaves the ideal going
+    down.
+    """
+    m, rank = rs.num_positive_roots, rs.rank
+    sums: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for (a, b), c in rs.addition_table.items():
+        sums[a].append((1 << b, 1 << c))
+    down = [[0] * rank for _ in range(m)]
+    for (c, i), up in rs.simple_step_table.items():
+        down[up][i - 1] = 1 << c
+    simple_bits = [1 << rs.simple_root_index(i) for i in range(1, rank + 1)]
+    positions = range(rank)
+    derived_masks = [0] * len(masks)
+    lows = [[0] * rank] * len(masks)  # the zero ideal's; the others are replaced
+    normalizer_bits = [(1 << rank) - 1] * len(masks)
+    for t in range(1, len(masks)):
+        mask = masks[t]
+        bit = mask & -mask
+        r = bit.bit_length() - 1
+        s = index[mask ^ bit]
+        d = derived_masks[s]
+        for b, c in sums[r]:
+            if mask & b:
+                d |= c
+        derived_masks[t] = d
+        low = lows[t] = [x | y for x, y in zip(lows[s], down[r])]
+        normalizer_bits[t] = sum(
+            1 << i for i in positions if not (mask & simple_bits[i] or low[i] & ~mask)
+        )
+    return tuple(index[d] for d in derived_masks), tuple(normalizer_bits)
+
+
+def _nilradical_ids(rs: RootSystem, index: dict[int, int]) -> list[int]:
+    """Per normalizer bitmask ``J``, the id of the nilradical of its parabolic.
+
+    The nilradical holds the roots whose support is not inside ``J``; its
+    mask is looked up in ``index``, so one that is not an ideal raises
+    ``KeyError``.
+    """
+    supports = [
+        sum(1 << i for i, c in enumerate(root.coeffs) if c) for root in rs.positive_roots
+    ]
+    return [
+        index[sum(1 << r for r, sup in enumerate(supports) if sup & ~j)]
+        for j in range(1 << rs.rank)
+    ]
 
 
 def is_abelian(n: Ideal) -> bool:
@@ -265,6 +321,22 @@ class IdealLattice:
     the normalizer, normalizer types as bitmasks over simple positions, and
     the containment relation as one bitset of container ids per ideal.
     Index 0 is always the zero ideal.
+
+    The tables come from root tables and masks, not from the per-ideal
+    predicates above, which stay as the independent reference.  Ideals are
+    built up over covers, smallest first.  For a nonzero ideal ``t`` let
+    ``r`` be a root of minimal height in ``t``.  No member of ``t`` steps up
+    onto ``r``, so ``s = t - {r}`` is again an ideal, and an earlier one.
+    A bracket within ``t`` either stays within ``s`` or involves ``r``, so
+
+        derived(t) = derived(s) | {r + b : b in t, r + b a positive root}.
+
+    The normalizer bits follow the same recursion (see
+    ``_derived_and_normalizers``).  There are only ``2^rank`` nilradicals,
+    one per subset of simple positions; each is built once, and an ideal's
+    radical closure is the nilradical of its normalizer bits.  Every derived
+    and nilradical mask is resolved through ``index``, so a mask that is not
+    an ideal raises ``KeyError``.
     """
 
     __slots__ = (
@@ -287,17 +359,11 @@ class IdealLattice:
         self.rs = rs
         self.masks = _ideal_masks(rs)
         self.index = {mk: i for i, mk in enumerate(self.masks)}
-        ideals = [Ideal._unchecked(rs, mk) for mk in self.masks]
-        self.derived = tuple(self.index[derived_ideal(n).mask] for n in ideals)
+        self.derived, self.normalizer_bits = _derived_and_normalizers(rs, self.masks, self.index)
         self.abelian = tuple(d == 0 for d in self.derived)
-        norm_types = [normalizer_type(n) for n in ideals]
-        self.radical_closure = tuple(
-            self.index[nilradical_of_parabolic(rs, j).mask] for j in norm_types
-        )
+        nil_id = _nilradical_ids(rs, self.index)
+        self.radical_closure = tuple(nil_id[bits] for bits in self.normalizer_bits)
         self.radical = tuple(c == i for i, c in enumerate(self.radical_closure))
-        self.normalizer_bits = tuple(
-            sum(1 << (i - 1) for i in j) for j in norm_types
-        )
         self.containers = _containers(rs, self.masks, self.index)
         self.nonzero_ids = tuple(range(1, len(self.masks)))
         self.abelian_ids = tuple(i for i in self.nonzero_ids if self.abelian[i])

@@ -1,9 +1,14 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilchain import (
     Ideal,
+    IdealLattice,
+    RootSystemSpec,
+    build_root_system,
     derived_ideal,
     enumerate_ideals,
     full_parabolic_type,
@@ -29,6 +34,22 @@ IDEAL_COUNTS = {
     ("C", 3): 20,
     ("G", 2): 8,
     ("D", 4): 50,
+}
+
+# Generalized Catalan numbers prod (h + e_i + 1) / (e_i + 1) of the Weyl
+# groups (Cellini-Papi), frozen here past the reach of the subset filter.
+CATALAN_COUNTS = {
+    ("A", 5): 132,
+    ("A", 6): 429,
+    ("A", 7): 1430,
+    ("B", 5): 252,
+    ("C", 5): 252,
+    ("D", 5): 182,
+    ("D", 6): 672,
+    ("F", 4): 105,
+    ("E", 6): 833,
+    ("E", 7): 4160,
+    ("E", 8): 25080,
 }
 
 
@@ -63,6 +84,28 @@ def test_rank4_antichain_cross_implementation(family, rank):
 def test_abelian_ideal_count_is_two_to_the_rank(family, rank):
     rs = system(family, rank)
     assert sum(1 for n in enumerate_ideals(rs) if is_abelian(n)) == 2**rank
+
+
+@pytest.mark.parametrize("family,rank", sorted(CATALAN_COUNTS))
+def test_lattice_counts_match_catalan_and_two_to_the_rank(family, rank):
+    # Nonzero abelian ideals and nonzero radical members (nilradicals of the
+    # 2^rank - 1 proper parabolics) both number 2^rank - 1.
+    lat = IdealLattice(build_root_system(RootSystemSpec(family, rank), allow_large=True))
+    assert len(lat) == CATALAN_COUNTS[(family, rank)]
+    assert len(lat.abelian_ids) == 2**rank - 1
+    assert len(lat.radical_ids) == 2**rank - 1
+
+
+def test_enumeration_and_lattice_leave_no_reference_cycles():
+    rs = system("E", 6)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_ideals(rs)
+        IdealLattice(rs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_order_is_canonical(a2):
@@ -222,7 +265,9 @@ def test_upward_closure_of_any_seed_is_an_enumerated_ideal(case):
     assert closed in enumerate_ideals(rs)
 
 
-@pytest.mark.parametrize("family,rank", ACCEPTANCE_SYSTEMS + [("A", 4), ("F", 4)])
+@pytest.mark.parametrize(
+    "family,rank", ACCEPTANCE_SYSTEMS + [("A", 4), ("F", 4), ("B", 5), ("E", 6)]
+)
 def test_lattice_tables_match_object_predicates(family, rank):
     rs = system(family, rank)
     lat = ideal_lattice(rs)
