@@ -27,7 +27,9 @@ from .ideals import (
     Ideal,
     IdealLattice,
     ParabolicType,
+    _bit_positions,
     _check_parabolic_type,
+    _type_of_bits,
     full_parabolic_type,
     ideal_lattice,
     is_abelian,
@@ -147,10 +149,11 @@ def chain_stabilizer_type(chain: Union[Chain, ParabolicChain]) -> ParabolicType:
     """
     if isinstance(chain, ParabolicChain):
         return chain.members[0] if chain.members else full_parabolic_type(chain.rs)
-    out = full_parabolic_type(chain.rs)
+    lat = ideal_lattice(chain.rs)
+    bits = lat.full_simple_bits
     for n in chain.members:
-        out &= normalizer_type(n)
-    return out
+        bits &= lat.normalizer_bits[lat.index[n.mask]]
+    return _type_of_bits(bits)
 
 
 def cr_to_cp(chain: Chain) -> ParabolicChain:
@@ -208,13 +211,7 @@ def family_successors(
         allowed |= 1 << i
     table: list[tuple[int, ...]] = [()] * len(lat.masks)
     for i in family_ids:
-        above = lat.containers[i] & allowed & ~(1 << i)
-        ids = []
-        while above:
-            low = above & -above
-            ids.append(low.bit_length() - 1)
-            above ^= low
-        table[i] = tuple(ids)
+        table[i] = tuple(_bit_positions(lat.containers[i] & allowed & ~(1 << i)))
     return tuple(table)
 
 

@@ -138,10 +138,19 @@ def parse_chain_literal(rs: RootSystem, text: str) -> Chain:
         raise UsageError(str(exc)) from exc
 
 
+def _write_json(doc: dict, out) -> None:
+    # json.dump writes chunk by chunk, so the whole text is never held.  With
+    # indent set, dump and dumps use the same pure-Python encoder, so the
+    # bytes are those of json.dumps(doc, indent=2).
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+
+
 def _ideal_json(n: Ideal) -> dict:
+    roots = n.root_indices()
     return {
-        "roots": list(n.root_indices()),
-        "vectors": [list(n.rs.positive_roots[i].coeffs) for i in n.root_indices()],
+        "roots": list(roots),
+        "vectors": [list(n.rs.positive_roots[i].coeffs) for i in roots],
     }
 
 
@@ -167,7 +176,7 @@ def _cmd_roots(args: argparse.Namespace, out) -> int:
                 for i, c, h, simple in rows
             ],
         }
-        print(json.dumps(doc, indent=2), file=out)
+        _write_json(doc, out)
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["index", "coeffs", "height", "simple"])
@@ -208,7 +217,7 @@ def _cmd_ideals(args: argparse.Namespace, out) -> int:
                 for n, abelian, radical, norm in rows
             ],
         }
-        print(json.dumps(doc, indent=2), file=out)
+        _write_json(doc, out)
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["roots", "size", "abelian", "radical", "normalizer"])
@@ -291,7 +300,7 @@ def _cmd_pair(args: argparse.Namespace, out) -> int:
             "paired": _chain_json(partner),
             "laws": laws,
         }
-        print(json.dumps(doc, indent=2), file=out)
+        _write_json(doc, out)
     else:
         print(f"{name} pairing in {rs.spec}", file=out)
         print(f"  input:  {chain}", file=out)
@@ -311,7 +320,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     rs = _build(args)
     report = verify(rs, max_chains=_max_chains(args))
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2), file=out)
+        _write_json(report.to_dict(), out)
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["complex", "length", "count"])

@@ -10,6 +10,9 @@ Commutators follow the generic structure-constant convention: the bracket
 of the root spaces for ``b`` and ``g`` is nonzero exactly when ``b + g`` is
 a root.  Parabolic types are subsets of ``{1..rank}``, naming which negative
 simple root spaces the parabolic contains.
+
+The per-ideal predicates are lookups into the cached ``IdealLattice`` of
+their system, so the first call for a type builds its lattice.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class Ideal:
         return self
 
     def root_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.rs.num_positive_roots) if (self.mask >> i) & 1)
+        return tuple(_bit_positions(self.mask))
 
     @property
     def is_zero(self) -> bool:
@@ -103,6 +106,16 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"Ideal({self.rs.spec}, {self})"
+
+
+def _bit_positions(x: int) -> list[int]:
+    """Positions of the set bits of ``x``, ascending, one step per set bit."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def _validate_upper_closed(rs: RootSystem, mask: int) -> None:
@@ -244,28 +257,26 @@ def _nilradical_ids(rs: RootSystem, index: dict[int, int]) -> list[int]:
     ]
 
 
+def _lookup(n: Ideal) -> tuple["IdealLattice", int]:
+    lat = ideal_lattice(n.rs)
+    return lat, lat.index[n.mask]
+
+
+def _type_of_bits(bits: int) -> ParabolicType:
+    """The parabolic type whose simple index ``i`` is bit ``i - 1`` of ``bits``."""
+    return frozenset(p + 1 for p in _bit_positions(bits))
+
+
 def is_abelian(n: Ideal) -> bool:
     """Whether no two members (repeats allowed) sum to a root."""
-    members = n.root_indices()
-    table = n.rs.addition_table
-    for x, a in enumerate(members):
-        for b in members[x:]:
-            if (a, b) in table:
-                return False
-    return True
+    lat, i = _lookup(n)
+    return lat.abelian[i]
 
 
 def derived_ideal(n: Ideal) -> Ideal:
     """The commutator ideal: all pairwise sums of members that are roots."""
-    members = n.root_indices()
-    table = n.rs.addition_table
-    mask = 0
-    for x, a in enumerate(members):
-        for b in members[x:]:
-            s = table.get((a, b))
-            if s is not None:
-                mask |= 1 << s
-    return Ideal.from_mask(n.rs, mask)
+    lat, i = _lookup(n)
+    return lat.ideal(lat.derived[i])
 
 
 def sum_ideals(a: Ideal, b: Ideal) -> Ideal:
@@ -283,34 +294,21 @@ def normalizer_type(n: Ideal) -> ParabolicType:
     conditions for the negative simple root space to preserve ``n`` under
     generic structure constants.
     """
-    rs = n.rs
-    out = []
-    for i in range(1, rs.rank + 1):
-        if rs.simple_root_index(i) in n:
-            continue
-        if all(
-            down in n
-            for b in n
-            if (down := rs.subtract_simple(b, i)) is not None
-        ):
-            out.append(i)
-    return frozenset(out)
+    lat, i = _lookup(n)
+    return _type_of_bits(lat.normalizer_bits[i])
 
 
 def nilradical_of_parabolic(rs: RootSystem, subset: Iterable[int]) -> Ideal:
     """Roots whose support is not contained in the given set of simple indices."""
     j = _check_parabolic_type(rs, subset)
-    mask = 0
-    for r, root in enumerate(rs.positive_roots):
-        support = {i + 1 for i, c in enumerate(root.coeffs) if c}
-        if not support <= j:
-            mask |= 1 << r
-    return Ideal.from_mask(rs, mask)
+    lat = ideal_lattice(rs)
+    return lat.ideal(lat.nil_id[sum(1 << (i - 1) for i in j)])
 
 
 def is_radical_member(n: Ideal) -> bool:
     """Whether ``n`` equals the nilradical of its own normalizer parabolic."""
-    return nilradical_of_parabolic(n.rs, normalizer_type(n)).mask == n.mask
+    lat, i = _lookup(n)
+    return lat.radical[i]
 
 
 class IdealLattice:
@@ -320,13 +318,14 @@ class IdealLattice:
     index: abelian and radical flags, the derived ideal, the nilradical of
     the normalizer, normalizer types as bitmasks over simple positions, and
     the containment relation as one bitset of container ids per ideal.
-    Index 0 is always the zero ideal.
+    Index 0 is always the zero ideal.  ``nil_id`` maps each subset of simple
+    positions, as a bitmask, to the id of its parabolic's nilradical.  The
+    object predicates above are lookups into these tables.
 
-    The tables come from root tables and masks, not from the per-ideal
-    predicates above, which stay as the independent reference.  Ideals are
-    built up over covers, smallest first.  For a nonzero ideal ``t`` let
-    ``r`` be a root of minimal height in ``t``.  No member of ``t`` steps up
-    onto ``r``, so ``s = t - {r}`` is again an ideal, and an earlier one.
+    The tables come from root tables and masks.  Ideals are built up over
+    covers, smallest first.  For a nonzero ideal ``t`` let ``r`` be a root
+    of minimal height in ``t``.  No member of ``t`` steps up onto ``r``, so
+    ``s = t - {r}`` is again an ideal, and an earlier one.
     A bracket within ``t`` either stays within ``s`` or involves ``r``, so
 
         derived(t) = derived(s) | {r + b : b in t, r + b a positive root}.
@@ -348,6 +347,7 @@ class IdealLattice:
         "derived",
         "radical_closure",
         "normalizer_bits",
+        "nil_id",
         "containers",
         "nonzero_ids",
         "abelian_ids",
@@ -362,6 +362,7 @@ class IdealLattice:
         self.derived, self.normalizer_bits = _derived_and_normalizers(rs, self.masks, self.index)
         self.abelian = tuple(d == 0 for d in self.derived)
         nil_id = _nilradical_ids(rs, self.index)
+        self.nil_id = tuple(nil_id)
         self.radical_closure = tuple(nil_id[bits] for bits in self.normalizer_bits)
         self.radical = tuple(c == i for i, c in enumerate(self.radical_closure))
         self.containers = _containers(rs, self.masks, self.index)
@@ -383,8 +384,7 @@ class IdealLattice:
         return self.index[self.masks[a] | self.masks[b]]
 
     def normalizer_type_of(self, ideal_id: int) -> ParabolicType:
-        bits = self.normalizer_bits[ideal_id]
-        return frozenset(i + 1 for i in range(self.rs.rank) if (bits >> i) & 1)
+        return _type_of_bits(self.normalizer_bits[ideal_id])
 
 
 _LATTICE_CACHE: dict[object, IdealLattice] = {}

@@ -3,7 +3,10 @@
 Nothing here shares code paths with the package: positive roots come from
 explicit Euclidean realizations of the classical and exceptional types,
 ideals come from filtering every subset of the positive system, and the
-rank-4 cross-check enumerates antichains of the componentwise order.
+rank-4 cross-check enumerates antichains of the componentwise order.  The
+per-ideal predicates work on coefficient vectors alone: a bracket is a sum
+of two member vectors that is again a positive-root vector, and a support
+is the set of nonzero coefficients.  They use no root tables.
 """
 
 from __future__ import annotations
@@ -143,6 +146,55 @@ def upper_sets_by_antichains(root_vectors: list[tuple[int, ...]]) -> set[frozens
 
     walk(0, [], frozenset())
     return out
+
+
+def derived_by_vectors(roots: list[tuple[int, ...]], members) -> frozenset[int]:
+    """Indices of the sums ``a + b`` of members (repeats allowed) that are positive roots.
+
+    ``roots`` lists the positive roots' coefficient vectors by index, and
+    ``members`` holds indices into it.  The ideal is abelian exactly when
+    the result is empty.
+    """
+    where = {v: i for i, v in enumerate(roots)}
+    out = set()
+    for a in members:
+        for b in members:
+            s = _add(roots[a], roots[b])
+            if s in where:
+                out.add(where[s])
+    return frozenset(out)
+
+
+def normalizer_by_vectors(roots: list[tuple[int, ...]], members) -> frozenset[int]:
+    """Simple indices ``i`` with ``alpha_i`` outside the ideal and no member
+    ``b`` for which ``b - alpha_i`` is a positive root outside it."""
+    where = {v: i for i, v in enumerate(roots)}
+    chosen = set(members)
+    rank = len(roots[0])
+    out = set()
+    for i, simple in enumerate(_basis(rank)):
+        if where[simple] in chosen:
+            continue
+        downs = (_sub(roots[b], simple) for b in chosen)
+        if all(where[d] in chosen for d in downs if d in where):
+            out.add(i + 1)
+    return frozenset(out)
+
+
+def nilradical_by_vectors(roots: list[tuple[int, ...]], subset) -> frozenset[int]:
+    """Indices of the roots whose support is not inside the given simple indices."""
+    return frozenset(
+        r
+        for r, v in enumerate(roots)
+        if any(c and i + 1 not in subset for i, c in enumerate(v))
+    )
+
+
+def radical_by_vectors(roots: list[tuple[int, ...]], members) -> bool:
+    """Whether the ideal is the nilradical of its own normalizer parabolic."""
+    return frozenset(members) == nilradical_by_vectors(
+        roots, normalizer_by_vectors(roots, members)
+    )
 
 
 def parabolic_chain_histogram(rank: int) -> dict[int, int]:

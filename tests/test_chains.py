@@ -13,12 +13,14 @@ from nilchain import (
     cp_to_cr,
     cr_to_cp,
     enumerate_chains,
+    enumerate_ideals,
     membership,
     normalizer_type,
 )
 from nilchain.cli import run
 
 from conftest import ACCEPTANCE_SYSTEMS, system
+from oracles import derived_by_vectors, nilradical_by_vectors, normalizer_by_vectors
 
 
 def chain_of(rs, *member_vector_sets):
@@ -163,6 +165,33 @@ def test_cr_cp_roundtrip_exhaustive():
             back = cp_to_cr(pchain)
             assert membership(ComplexKind.CR, back)
             assert cr_to_cp(back) == pchain
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("G", 2)])
+def test_stabilizer_and_membership_match_vector_oracles(family, rank):
+    # Per ideal mask: abelian, radical and normalizer type, from root vectors alone.
+    rs = system(family, rank)
+    roots = [r.coeffs for r in rs.positive_roots]
+    facts = {}
+    for chain in enumerate_chains(rs, ComplexKind.CI):
+        for n in chain.members:
+            if n.mask not in facts:
+                members = [r for r in range(rs.num_positive_roots) if (n.mask >> r) & 1]
+                norm = normalizer_by_vectors(roots, members)
+                radical = nilradical_by_vectors(roots, norm) == frozenset(members)
+                facts[n.mask] = (not derived_by_vectors(roots, members), radical, norm)
+        rows = [facts[n.mask] for n in chain.members]
+        norms = tuple(norm for _, _, norm in rows)
+        in_cr = all(radical for _, radical, _ in rows)
+        assert chain_stabilizer_type(chain) == frozenset(range(1, rank + 1)).intersection(*norms)
+        assert membership(ComplexKind.CI, chain)
+        assert membership(ComplexKind.CA, chain) == all(abelian for abelian, _, _ in rows)
+        assert membership(ComplexKind.CR, chain) == in_cr
+        if in_cr:
+            image = cr_to_cp(chain)
+            assert image.members == norms[::-1]
+            assert cp_to_cr(image) == chain
+    assert len(facts) == len(enumerate_ideals(rs)) - 1
 
 
 def test_cr_to_cp_requires_cr_chain(a2):

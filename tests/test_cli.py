@@ -216,3 +216,27 @@ def test_parse_chain_literal_forms():
         parse_chain_literal(rs, "{0}")
     with pytest.raises(ValueError, match="strictly increase"):
         parse_chain_literal(rs, "{2} < {2}")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots"],
+        ["ideals"],
+        ["pair", "--complex", "ci-minus-ca", "--chain", "FULL"],
+        ["pair", "--complex", "ci-minus-cr", "--chain", "TOP"],
+        ["verify"],
+    ],
+    ids=["roots", "ideals", "pair-ca", "pair-cr", "verify"],
+)
+def test_streamed_json_matches_one_shot_dumps(family, rank, argv):
+    # Documents are written chunk by chunk; the bytes are those of one
+    # json.dumps(doc, indent=2) plus a newline.
+    # FULL is the whole positive system, TOP the highest root alone.
+    m = system(family, rank).num_positive_roots
+    literals = {"FULL": "{" + ", ".join(map(str, range(m))) + "}", "TOP": "{" + str(m - 1) + "}"}
+    argv = [literals.get(a, a) for a in argv]
+    code, text = invoke(*argv, "--type", family, "--rank", str(rank), "--format", "json")
+    assert code == 0
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"

@@ -21,7 +21,14 @@ from nilchain import (
 )
 
 from conftest import ACCEPTANCE_SYSTEMS, system
-from oracles import upper_closed_subsets_by_filter, upper_sets_by_antichains
+from oracles import (
+    derived_by_vectors,
+    nilradical_by_vectors,
+    normalizer_by_vectors,
+    radical_by_vectors,
+    upper_closed_subsets_by_filter,
+    upper_sets_by_antichains,
+)
 
 # Ideal counts frozen from the subset-filter oracle; they also agree with the
 # generalized Catalan numbers of the corresponding Weyl groups.
@@ -55,6 +62,24 @@ CATALAN_COUNTS = {
 
 def ideal_of(rs, *coeff_vectors):
     return Ideal(rs, [rs.index_of(c) for c in coeff_vectors])
+
+
+def root_vectors(rs):
+    return [r.coeffs for r in rs.positive_roots]
+
+
+def members_of(n):
+    return [r for r in range(n.rs.num_positive_roots) if (n.mask >> r) & 1]
+
+
+def mask_of(indices):
+    return sum(1 << r for r in indices)
+
+
+def simple_subsets(rank):
+    """Every subset of {1..rank}, with its bitmask over simple positions."""
+    for bits in range(1 << rank):
+        yield bits, frozenset(i + 1 for i in range(rank) if (bits >> i) & 1)
 
 
 def as_vector_sets(ideals):
@@ -269,17 +294,40 @@ def test_upward_closure_of_any_seed_is_an_enumerated_ideal(case):
     "family,rank", ACCEPTANCE_SYSTEMS + [("A", 4), ("F", 4), ("B", 5), ("E", 6)]
 )
 def test_lattice_tables_match_object_predicates(family, rank):
+    # The object predicates are lookups into these tables, so the tables are
+    # checked against the vector references in oracles.py instead.
     rs = system(family, rank)
     lat = ideal_lattice(rs)
+    roots = root_vectors(rs)
     ideals = enumerate_ideals(rs)
     assert lat.masks == tuple(n.mask for n in ideals)
+    for bits, subset in simple_subsets(rank):
+        assert lat.masks[lat.nil_id[bits]] == mask_of(nilradical_by_vectors(roots, subset))
     for i, n in enumerate(ideals):
         assert lat.containers[i] == sum(
             1 << j for j, m in enumerate(ideals) if n.mask | m.mask == m.mask
         )
-        assert lat.abelian[i] == is_abelian(n)
-        assert lat.radical[i] == is_radical_member(n)
-        assert lat.ideal(lat.derived[i]) == derived_ideal(n)
-        norm = normalizer_type(n)
-        assert lat.ideal(lat.radical_closure[i]) == nilradical_of_parabolic(rs, norm)
+        members = members_of(n)
+        derived = derived_by_vectors(roots, members)
+        norm = normalizer_by_vectors(roots, members)
+        assert lat.abelian[i] == (not derived)
+        assert lat.radical[i] == radical_by_vectors(roots, members)
+        assert lat.masks[lat.derived[i]] == mask_of(derived)
+        assert lat.masks[lat.radical_closure[i]] == mask_of(nilradical_by_vectors(roots, norm))
         assert lat.normalizer_bits[i] == sum(1 << (j - 1) for j in norm)
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_SYSTEMS + [("A", 4)])
+def test_public_predicates_match_vector_oracles(family, rank):
+    rs = system(family, rank)
+    roots = root_vectors(rs)
+    for n in enumerate_ideals(rs):
+        members = members_of(n)
+        derived = derived_by_vectors(roots, members)
+        assert is_abelian(n) == (not derived)
+        assert derived_ideal(n) == Ideal.from_mask(rs, mask_of(derived))
+        assert normalizer_type(n) == normalizer_by_vectors(roots, members)
+        assert is_radical_member(n) == radical_by_vectors(roots, members)
+    for _, subset in simple_subsets(rank):
+        expected = Ideal.from_mask(rs, mask_of(nilradical_by_vectors(roots, subset)))
+        assert nilradical_of_parabolic(rs, subset) == expected
