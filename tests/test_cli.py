@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,28 @@ def test_streamed_json_matches_one_shot_dumps(family, rank, argv):
     code, text = invoke(*argv, "--type", family, "--rank", str(rank), "--format", "json")
     assert code == 0
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def _module_main(*argv):
+    """Run ``python -m nilchain`` in a fresh process against this checkout's sources."""
+    env = dict(os.environ)
+    env.pop("NILCHAIN_MAX_CHAINS", None)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "nilchain", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_module_entry_point_exit_codes():
+    done = _module_main("verify", "--type", "A", "--rank", "2", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    doc.pop("elapsed_ms")
+    golden = json.loads((Path(__file__).parent / "data" / "a2_report.json").read_text())
+    assert doc == golden
+
+    done = _module_main("verify", "--type", "F", "--rank", "4")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: enumeration exceeds the chain guard")

@@ -19,6 +19,7 @@ from nilchain import (
     normalizer_type,
     sum_ideals,
 )
+from nilchain.sums import _cr_cp_failure
 
 from conftest import ACCEPTANCE_SYSTEMS, system
 from oracles import (
@@ -119,6 +120,8 @@ def test_lattice_counts_match_catalan_and_two_to_the_rank(family, rank):
     assert len(lat) == CATALAN_COUNTS[(family, rank)]
     assert len(lat.abelian_ids) == 2**rank - 1
     assert len(lat.radical_ids) == 2**rank - 1
+    # Past the chain guard, where ``verify`` stops, the CR/CP check still runs.
+    assert _cr_cp_failure(lat) == ""
 
 
 def test_enumeration_and_lattice_leave_no_reference_cycles():

@@ -19,10 +19,10 @@ from nilchain import (
     pair_nonradical,
     verify,
 )
-from nilchain import sums
+from nilchain import ideals, sums
 from nilchain.chains import complex_family, count_index_chains, tally_chains
 from nilchain.cli import parse_chain_literal
-from nilchain.ideals import ideal_lattice
+from nilchain.ideals import IdealLattice, ideal_lattice
 from nilchain.sums import _InvolutionStats
 
 from conftest import ACCEPTANCE_SYSTEMS, system
@@ -320,3 +320,78 @@ def test_unequal_parity_counts_fail_with_a_note():
         " The nonradical pairing's domain has 3 even-length and 4 odd-length chains."
     )
     assert _InvolutionStats([4, 4]).note("nonradical", None) == ""
+
+
+def _swap_nil_ids(lat):
+    nil_id = list(lat.nil_id)
+    nil_id[1], nil_id[2] = nil_id[2], nil_id[1]
+    lat.nil_id = tuple(nil_id)
+
+
+def _repeat_nil_id(lat):
+    nil_id = list(lat.nil_id)
+    nil_id[1] = nil_id[3]
+    lat.nil_id = tuple(nil_id)
+
+
+def _flip_normalizer_bit(lat):
+    norm_bits = list(lat.normalizer_bits)
+    norm_bits[lat.nil_id[1]] ^= 0b10
+    lat.normalizer_bits = tuple(norm_bits)
+
+
+def _drop_radical_member(lat):
+    lat.radical_ids = lat.radical_ids[1:]
+
+
+def _drop_container(lat):
+    containers = list(lat.containers)
+    containers[lat.nil_id[3]] &= ~(1 << lat.nil_id[1])
+    lat.containers = tuple(containers)
+
+
+@pytest.mark.parametrize(
+    "breaks, named",
+    [
+        (_swap_nil_ids, "at type [1]"),
+        (_repeat_nil_id, "at type [1]"),
+        (_flip_normalizer_bit, "at type [1]"),
+        (_drop_radical_member, "at ideal {2, 4, 6, 7, 8}"),
+        (_drop_container, "at the pair of types [1] and [1, 2]"),
+    ],
+    ids=[
+        "swap_nil_ids",
+        "repeat_nil_id",
+        "flip_normalizer_bit",
+        "drop_radical_member",
+        "drop_container",
+    ],
+)
+def test_cr_cp_table_fault_is_recorded_not_raised(monkeypatch, breaks, named):
+    # A fresh lattice is broken, never the cached one.  Types index the
+    # tables as bitmasks: 1 is [1], 2 is [2] and 3 is [1, 2].
+    rs = system("B", 3)
+    lat = IdealLattice(rs)
+    breaks(lat)
+    monkeypatch.setattr(sums, "ideal_lattice", lambda _: lat)
+    report = verify(rs)
+    assert not report.verdicts["cr_cp_bijection"]
+    assert f" The CR/CP correspondence fails {named}." in report.notes
+    monkeypatch.undo()
+    assert verify(rs).verdicts["cr_cp_bijection"]
+
+
+def test_false_containment_is_recorded_not_raised(monkeypatch):
+    # The walk follows the faulty table into a sequence that is no chain;
+    # the note still names it.
+    rs = system("B", 3)
+    lat = IdealLattice(rs)
+    assert lat.masks[3] & ~lat.masks[4]
+    containers = list(lat.containers)
+    containers[3] |= 1 << 4
+    lat.containers = tuple(containers)
+    monkeypatch.setitem(ideals._LATTICE_CACHE, rs.spec, lat)
+    report = verify(rs)
+    assert not report.verdicts["nonabelian_involution"]
+    match = re.search(r"The nonabelian pairing breaks a law at (\[[^\]]*\])\.", report.notes)
+    assert match and f"{lat.ideal(3)} < {lat.ideal(4)}" in match.group(1)
