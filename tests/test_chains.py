@@ -1,4 +1,5 @@
 import io
+from itertools import combinations
 
 import pytest
 
@@ -140,6 +141,23 @@ def test_cp_stabilizer_is_smallest_member(a2):
     for pchain in pchains:
         if pchain.members:
             assert chain_stabilizer_type(pchain) == pchain.members[0]
+
+
+def test_cp_emission_order_a4():
+    # Proper subsets in canonical order: by size, then by elements.  CP
+    # chains come out lexicographically in their position sequences.
+    rs = system("A", 4)
+    subsets = sorted(
+        (frozenset(c) for size in range(4) for c in combinations(range(1, 5), size)),
+        key=lambda j: (len(j), sorted(j)),
+    )
+    position = {j: k for k, j in enumerate(subsets)}
+    sequences = [
+        tuple(position[j] for j in pchain.members)
+        for pchain in enumerate_chains(rs, ComplexKind.CP)
+    ]
+    assert len(set(sequences)) == len(sequences) == 150
+    assert sequences == sorted(sequences)
 
 
 def test_cr_cp_example(a2):

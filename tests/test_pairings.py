@@ -48,16 +48,28 @@ def test_nonradical_examples(a2):
 
 def test_domain_errors(a2):
     empty = Chain(a2, ())
-    with pytest.raises(PairingDomainError):
-        pair_nonabelian(empty)
-    with pytest.raises(PairingDomainError):
-        pair_nonradical(empty)
     abelian_chain = chain_of(a2, THETA, A2_RIGHT)
-    with pytest.raises(PairingDomainError, match="abelian"):
-        pair_nonabelian(abelian_chain)
     radical_chain = chain_of(a2, A2_RIGHT, A2_FULL)
-    with pytest.raises(PairingDomainError, match="nilradical"):
-        pair_nonradical(radical_chain)
+    cases = [
+        (pair_nonabelian, empty, "the empty chain has no nonabelian member to pair on"),
+        (pair_nonradical, empty, "the empty chain has no nonradical member to pair on"),
+        (
+            pair_nonabelian,
+            abelian_chain,
+            "every member is abelian (the top member is, hence all are); "
+            "the nonabelian pairing does not apply",
+        ),
+        (
+            pair_nonradical,
+            radical_chain,
+            "every member equals the nilradical of its normalizer; "
+            "the nonradical pairing does not apply",
+        ),
+    ]
+    for pairing, chain, message in cases:
+        with pytest.raises(PairingDomainError) as excinfo:
+            pairing(chain)
+        assert str(excinfo.value) == message
 
 
 def _check_laws(chain, pairing, domain_kind):

@@ -296,6 +296,102 @@ def test_partner_that_is_no_chain_fails(monkeypatch):
     assert _counterexample(rs, report, "nonabelian") == target
 
 
+def _itself(rs, child, outside):
+    return child
+
+
+def _partner_inside(rs, child, outside):
+    """A chain of the complex one off in length from ``child``, with its stabilizer."""
+    stab = chain_stabilizer_type(child)
+    return next(
+        (
+            c
+            for c in enumerate_chains(rs, outside)
+            if abs(c.length - child.length) == 1 and chain_stabilizer_type(c) == stab
+        ),
+        None,
+    )
+
+
+def _partner_with_another_stabilizer(rs, child, outside):
+    """A domain chain one off in length from ``child``, with its top member
+    and another stabilizer, whose own partner is walked after ``child``."""
+    pairing = pair_nonabelian if outside is ComplexKind.CA else pair_nonradical
+    lat = ideal_lattice(rs)
+    stab = chain_stabilizer_type(child)
+
+    def ids(chain):
+        return tuple(lat.id_of(n) for n in chain.members)
+
+    return next(
+        (
+            c
+            for c in enumerate_chains(rs, ComplexKind.CI)
+            if abs(c.length - child.length) == 1
+            and not membership(outside, c)
+            and c.members[-1] == child.members[-1]
+            and chain_stabilizer_type(c) != stab
+            and ids(pairing(c)) > ids(child)
+        ),
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, outside, partner_of",
+    [
+        ("nonabelian", ComplexKind.CA, _itself),
+        ("nonradical", ComplexKind.CR, _itself),
+        ("nonabelian", ComplexKind.CA, _partner_inside),
+        ("nonradical", ComplexKind.CR, _partner_inside),
+        ("nonabelian", ComplexKind.CA, _partner_with_another_stabilizer),
+        ("nonradical", ComplexKind.CR, _partner_with_another_stabilizer),
+    ],
+    ids=[
+        "nonabelian-pairs-to-itself",
+        "nonradical-pairs-to-itself",
+        "nonabelian-partner-has-another-top",
+        "nonradical-partner-all-radical",
+        "nonabelian-partner-has-another-stabilizer",
+        "nonradical-partner-has-another-stabilizer",
+    ],
+)
+def test_partner_breaking_one_law_fails(monkeypatch, name, outside, partner_of):
+    # Each partner breaks one law and keeps the others: it is a chain that
+    # pairs back and, but for the last two cases, has the child's
+    # stabilizer.  A pairing that fixes a chain keeps its length; a
+    # nonabelian partner from CA has an abelian top, so not the child's; a
+    # nonradical partner from CR has only radical members.  A partner with
+    # another stabilizer is in the domain, so it is also the real partner of
+    # a later chain, which then fails to pair back; the child fails first.
+    rs = system("B", 3)
+    lat = ideal_lattice(rs)
+    child, partner = next(
+        (c, p)
+        for c in enumerate_chains(rs, ComplexKind.CI)
+        if c.length == 2
+        and not membership(outside, c)
+        and (p := partner_of(rs, c, outside)) is not None
+    )
+    child_ids, partner_ids = (tuple(lat.id_of(n) for n in c.members) for c in (child, partner))
+    real = getattr(sums, f"pair_{name}_ids")
+
+    def swapped(lat, ids):
+        if ids == child_ids:
+            return partner_ids
+        if ids == partner_ids:
+            return child_ids
+        return real(lat, ids)
+
+    monkeypatch.setattr(sums, f"pair_{name}_ids", swapped)
+    report = verify(rs)
+    other = "nonradical" if name == "nonabelian" else "nonabelian"
+    assert not report.verdicts[f"{name}_involution"]
+    assert report.verdicts[f"{other}_involution"]
+    assert _counterexample(rs, report, name) == child
+    assert f"{other} pairing" not in report.notes
+
+
 def test_each_domain_chain_is_paired_once(monkeypatch):
     rs = system("B", 3)
     calls = Counter()
