@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Optional, Union
 
 from .ideals import (
@@ -173,15 +172,6 @@ def cp_to_cr(pchain: ParabolicChain) -> Chain:
     )
 
 
-def parabolic_subsets(rank: int) -> tuple[ParabolicType, ...]:
-    """Proper subsets of {1..rank} in canonical order (size, then elements)."""
-    out: list[ParabolicType] = []
-    for size in range(rank):
-        for combo in combinations(range(1, rank + 1), size):
-            out.append(frozenset(combo))
-    return tuple(out)
-
-
 def iter_index_chains(
     family_ids: tuple[int, ...], succ_within: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[int, ...]]:
@@ -256,28 +246,25 @@ def count_index_chains(
     return 1 + sum(starting.values())
 
 
-def subset_successors(rank: int) -> tuple[tuple[int, ...], ...]:
-    """Successor lists for proper subsets of {1..rank} under strict inclusion."""
-    subsets = parabolic_subsets(rank)
-    return tuple(
-        tuple(j for j in range(i + 1, len(subsets)) if subsets[i] < subsets[j])
-        for i in range(len(subsets))
-    )
-
-
 def complex_family(
     rs: RootSystem, kind: ComplexKind
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Member ids, successor lists and stabilizer bits of a complex's members.
 
-    Ideal complexes use lattice ids and normalizer bits.  CP uses positions
-    in ``parabolic_subsets`` and each subset's own bits: the AND over an
-    increasing chain of subsets is its smallest member, the stabilizer.
+    Ideal complexes use lattice ids and normalizer bits.  CP uses the proper
+    subsets' bitmasks (bit ``i - 1`` is index ``i``) in canonical order, by
+    size and then by elements, and each bitmask is its own bits: the AND
+    over an increasing chain of subsets is its smallest member, the
+    stabilizer.
     """
     if kind is ComplexKind.CP:
-        subsets = parabolic_subsets(rs.rank)
-        bits = tuple(sum(1 << (i - 1) for i in j) for j in subsets)
-        return tuple(range(len(subsets))), subset_successors(rs.rank), bits
+        proper = range((1 << rs.rank) - 1)
+        ids = tuple(sorted(proper, key=lambda j: (j.bit_count(), _bit_positions(j))))
+        succ: list[tuple[int, ...]] = [()] * len(proper)
+        for pos, j in enumerate(ids):
+            # Every strict superset of ``j`` is larger, so it comes later.
+            succ[j] = tuple(k for k in ids[pos + 1 :] if k & j == j)
+        return ids, tuple(succ), tuple(proper)
     lat = ideal_lattice(rs)
     if kind is ComplexKind.CI:
         ids = lat.nonzero_ids
@@ -314,9 +301,8 @@ def enumerate_chains(
     ids, succ, _ = complex_family(rs, kind)
     check_chain_limit(ids, succ, max_chains)
     if kind is ComplexKind.CP:
-        subsets = parabolic_subsets(rs.rank)
         return (
-            ParabolicChain(rs, tuple(subsets[i] for i in id_chain))
+            ParabolicChain(rs, tuple(_type_of_bits(j) for j in id_chain))
             for id_chain in iter_index_chains(ids, succ)
         )
     lat = ideal_lattice(rs)

@@ -59,12 +59,15 @@ def pair_nonradical_ids(lat: IdealLattice, ids: tuple[int, ...]) -> tuple[int, .
     return ids[: j + 1] + (merged,) + ids[j + 1 :]
 
 
-def _to_ids(chain: Chain, lat: IdealLattice) -> tuple[int, ...]:
-    return tuple(lat.id_of(n) for n in chain.members)
-
-
-def _to_chain(ids: tuple[int, ...], lat: IdealLattice) -> Chain:
-    return Chain(lat.rs, tuple(lat.ideal(i) for i in ids))
+def _pair(chain: Chain, name: str, pair_ids, out_of_domain, domain_message: str) -> Chain:
+    """``pair_ids`` applied to ``chain`` through lattice ids, after the domain checks."""
+    if not chain.members:
+        raise PairingDomainError(f"the empty chain has no {name} member to pair on")
+    lat = ideal_lattice(chain.rs)
+    ids = tuple(lat.id_of(n) for n in chain.members)
+    if out_of_domain(lat, ids):
+        raise PairingDomainError(domain_message)
+    return Chain(lat.rs, tuple(lat.ideal(i) for i in pair_ids(lat, ids)))
 
 
 def pair_nonabelian(chain: Chain) -> Chain:
@@ -73,16 +76,14 @@ def pair_nonabelian(chain: Chain) -> Chain:
     The result has the same top member and the same stabilizer type, lies in
     the same domain, and applying the pairing again restores the input.
     """
-    if not chain.members:
-        raise PairingDomainError("the empty chain has no nonabelian member to pair on")
-    lat = ideal_lattice(chain.rs)
-    ids = _to_ids(chain, lat)
-    if lat.abelian[ids[-1]]:
-        raise PairingDomainError(
-            "every member is abelian (the top member is, hence all are); "
-            "the nonabelian pairing does not apply"
-        )
-    return _to_chain(pair_nonabelian_ids(lat, ids), lat)
+    return _pair(
+        chain,
+        "nonabelian",
+        pair_nonabelian_ids,
+        lambda lat, ids: lat.abelian[ids[-1]],
+        "every member is abelian (the top member is, hence all are); "
+        "the nonabelian pairing does not apply",
+    )
 
 
 def pair_nonradical(chain: Chain) -> Chain:
@@ -92,13 +93,11 @@ def pair_nonradical(chain: Chain) -> Chain:
     type, lies in the same domain, and applying the pairing again restores
     the input.
     """
-    if not chain.members:
-        raise PairingDomainError("the empty chain has no nonradical member to pair on")
-    lat = ideal_lattice(chain.rs)
-    ids = _to_ids(chain, lat)
-    if all(lat.radical[i] for i in ids):
-        raise PairingDomainError(
-            "every member equals the nilradical of its normalizer; "
-            "the nonradical pairing does not apply"
-        )
-    return _to_chain(pair_nonradical_ids(lat, ids), lat)
+    return _pair(
+        chain,
+        "nonradical",
+        pair_nonradical_ids,
+        lambda lat, ids: all(lat.radical[i] for i in ids),
+        "every member equals the nilradical of its normalizer; "
+        "the nonradical pairing does not apply",
+    )

@@ -163,11 +163,9 @@ def alternating_sum(
 def closed_form_sum(rs: RootSystem) -> SumVector:
     """Sum of ``(-1)^corank(I) * e(I)`` over all subsets I of the simple indices."""
     rank = rs.rank
-    entries: dict[ParabolicType, int] = {}
-    for bits in range(1 << rank):
-        subset = frozenset(i + 1 for i in range(rank) if (bits >> i) & 1)
-        entries[subset] = -1 if (rank - len(subset)) % 2 else 1
-    return SumVector(entries)
+    return _sum_vector(
+        {bits: -1 if (rank - bits.bit_count()) % 2 else 1 for bits in range(1 << rank)}
+    )
 
 
 def boolean_interval_check(rs: RootSystem) -> bool:
@@ -237,13 +235,14 @@ class _InvolutionStats:
 def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
     """Walk every CI chain once and test both pairings; the caller guards the total.
 
-    The laws are tested on each even-length chain ``e`` of a pairing's
-    domain: its partner ``p`` is a chain in the domain, of length one off,
-    with the same stabilizer (and the same top member, for the nonabelian
-    pairing), and pairs back to ``e``.  Those laws make the pairing an
-    injection from the domain's even chains into its odd ones, undone by
-    itself; if the two are equally many, every odd chain is some ``p``, and
-    every law holds there too.  So a law fails somewhere exactly when an
+    One check tests the laws of either pairing on each even-length chain
+    ``e`` of its domain: the partner ``p`` is one off in length, lies in the
+    domain (it keeps ``e``'s top member, for the nonabelian pairing; not all
+    its members are radical, for the nonradical one), is a chain with
+    ``e``'s stabilizer, and pairs back to ``e``.  Those laws make the
+    pairing an injection from the domain's even chains into its odd ones,
+    undone by itself; if the two are equally many, every odd chain is some
+    ``p``, and every law holds there too.  So a law fails somewhere exactly when an
     even chain fails one or the counts differ, and the pairing is called
     once per domain chain.  Each domain's chains are tallied per stabilizer
     bitmask and parity.
@@ -276,6 +275,28 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
             below = i
         return stab
 
+    def same_top(partner: tuple[int, ...], child: tuple[int, ...]) -> bool:
+        return partner[-1] == child[-1]
+
+    def not_all_radical(partner: tuple[int, ...], child: tuple[int, ...]) -> bool:
+        return not all(map(radical.__getitem__, partner))
+
+    def check(stats, pair, in_domain, child: tuple[int, ...], child_stab: int) -> None:
+        """Record ``child`` in ``stats`` unless its partner keeps every law.
+
+        The tests stop at the first that fails, so a partner of the wrong
+        length or outside the domain is never paired.
+        """
+        partner = pair(lat, child)
+        if not (
+            abs(len(partner) - len(child)) == 1
+            and in_domain(partner, child)
+            and chain_stab(partner) == child_stab
+            and pair(lat, partner) == child
+        ):
+            stats.failed_even += 1
+            stats.first_failure = stats.first_failure or child
+
     def walk(chain: tuple[int, ...], stab: int, all_radical: bool, even: int, nexts) -> None:
         # ``even`` is 1 when the children of ``chain`` have even length; a
         # partner one off in length from a chain of length >= 2 is nonempty.
@@ -287,27 +308,11 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
             if not abelian[nxt]:
                 nonab_tally[key] += 1
                 if even:
-                    partner = pair_nonab(lat, child)
-                    if not (
-                        abs(len(partner) - len(child)) == 1
-                        and partner[-1] == nxt
-                        and chain_stab(partner) == child_stab
-                        and pair_nonab(lat, partner) == child
-                    ):
-                        nonab.failed_even += 1
-                        nonab.first_failure = nonab.first_failure or child
+                    check(nonab, pair_nonab, same_top, child, child_stab)
             if not child_radical:
                 nonrad_tally[key] += 1
                 if even:
-                    partner = pair_nonrad(lat, child)
-                    if not (
-                        abs(len(partner) - len(child)) == 1
-                        and not all(map(radical.__getitem__, partner))
-                        and chain_stab(partner) == child_stab
-                        and pair_nonrad(lat, partner) == child
-                    ):
-                        nonrad.failed_even += 1
-                        nonrad.first_failure = nonrad.first_failure or child
+                    check(nonrad, pair_nonrad, not_all_radical, child, child_stab)
             walk(child, child_stab, child_radical, 1 - even, succ[nxt])
 
     ids, succ, _ = complex_family(lat.rs, ComplexKind.CI)
