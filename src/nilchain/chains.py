@@ -262,8 +262,9 @@ def complex_family(
         ids = tuple(sorted(proper, key=lambda j: (j.bit_count(), _bit_positions(j))))
         succ: list[tuple[int, ...]] = [()] * len(proper)
         for pos, j in enumerate(ids):
-            # Every strict superset of ``j`` is larger, so it comes later.
-            succ[j] = tuple(k for k in ids[pos + 1 :] if k & j == j)
+            # Every strict superset of ``j`` is larger, so it comes later.  Read
+            # by index: slices of ``ids`` raise peak RSS over repeated calls.
+            succ[j] = tuple(ids[q] for q in range(pos + 1, len(ids)) if ids[q] & j == j)
         return ids, tuple(succ), tuple(proper)
     lat = ideal_lattice(rs)
     if kind is ComplexKind.CI:

@@ -242,10 +242,10 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
     ``e``'s stabilizer, and pairs back to ``e``.  Those laws make the
     pairing an injection from the domain's even chains into its odd ones,
     undone by itself; if the two are equally many, every odd chain is some
-    ``p``, and every law holds there too.  So a law fails somewhere exactly when an
-    even chain fails one or the counts differ, and the pairing is called
-    once per domain chain.  Each domain's chains are tallied per stabilizer
-    bitmask and parity.
+    ``p``, and every law holds there too.  So a law fails somewhere exactly
+    when an even chain fails one or the counts differ, and the pairing is
+    called once per domain chain.  Each domain's chains are tallied per
+    stabilizer bitmask and parity.
     """
     nonab = _InvolutionStats([0] * (2 << lat.rs.rank))
     nonrad = _InvolutionStats([0] * (2 << lat.rs.rank))
