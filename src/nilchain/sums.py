@@ -275,22 +275,24 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
             below = i
         return stab
 
-    def same_top(partner: tuple[int, ...], child: tuple[int, ...]) -> bool:
-        return partner[-1] == child[-1]
-
-    def not_all_radical(partner: tuple[int, ...], child: tuple[int, ...]) -> bool:
-        return not all(map(radical.__getitem__, partner))
-
-    def check(stats, pair, in_domain, child: tuple[int, ...], child_stab: int) -> None:
+    def check(stats, pair, keeps_top: bool, child: tuple[int, ...], child_stab: int) -> None:
         """Record ``child`` in ``stats`` unless its partner keeps every law.
 
-        The tests stop at the first that fails, so a partner of the wrong
-        length or outside the domain is never paired.
+        The domain test is the one part that differs: the nonabelian partner
+        (``keeps_top``) must keep the child's top member, and the nonradical
+        one must have a member that is not radical.  It is inline, not a
+        function argument: one more call per checked chain is about 5% of
+        the D4 walk.  The tests stop at the first that fails, so a partner
+        of the wrong length or outside the domain is never paired.
         """
         partner = pair(lat, child)
         if not (
             abs(len(partner) - len(child)) == 1
-            and in_domain(partner, child)
+            and (
+                partner[-1] == child[-1]
+                if keeps_top
+                else not all(map(radical.__getitem__, partner))
+            )
             and chain_stab(partner) == child_stab
             and pair(lat, partner) == child
         ):
@@ -308,11 +310,11 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
             if not abelian[nxt]:
                 nonab_tally[key] += 1
                 if even:
-                    check(nonab, pair_nonab, same_top, child, child_stab)
+                    check(nonab, pair_nonab, True, child, child_stab)
             if not child_radical:
                 nonrad_tally[key] += 1
                 if even:
-                    check(nonrad, pair_nonrad, not_all_radical, child, child_stab)
+                    check(nonrad, pair_nonrad, False, child, child_stab)
             walk(child, child_stab, child_radical, 1 - even, succ[nxt])
 
     ids, succ, _ = complex_family(lat.rs, ComplexKind.CI)
