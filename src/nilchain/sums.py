@@ -260,44 +260,34 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
     nonab_tally = nonab.tally
     nonrad_tally = nonrad.tally
 
-    def chain_stab(ids: tuple[int, ...]) -> int:
-        """The stabilizer bitmask of ``ids``, or -1 unless each member is
-        nonzero and strictly inside the next.
-
-        A plain loop: on tuples this short it beats ``reduce``/``map``.
-        """
-        stab = full
-        below = 0  # the zero ideal's id
-        for i in ids:
-            if not strictly_above[below] >> i & 1:
-                return -1
-            stab &= norm_bits[i]
-            below = i
-        return stab
-
     def check(stats, pair, keeps_top: bool, child: tuple[int, ...], child_stab: int) -> None:
         """Record ``child`` in ``stats`` unless its partner keeps every law.
 
-        The domain test is the one part that differs: the nonabelian partner
-        (``keeps_top``) must keep the child's top member, and the nonradical
-        one must have a member that is not radical.  It is inline, not a
-        function argument: one more call per checked chain is about 5% of
-        the D4 walk.  The tests stop at the first that fails, so a partner
-        of the wrong length or outside the domain is never paired.
+        The partner must be one off in length; in the domain (the
+        nonabelian partner, ``keeps_top``, keeps the child's top member; the
+        nonradical one has a member that is not radical); a chain of nonzero
+        ideals, each strictly inside the next, with the child's stabilizer;
+        and it must pair back.  The tests run in that order and stop at the
+        first that fails, so a broken partner is never paired again.  All of
+        it is inline: a call per checked chain for the domain test, or for
+        the stabilizer, costs 2-5% of the D4 walk.
         """
         partner = pair(lat, child)
-        if not (
-            abs(len(partner) - len(child)) == 1
-            and (
-                partner[-1] == child[-1]
-                if keeps_top
-                else not all(map(radical.__getitem__, partner))
-            )
-            and chain_stab(partner) == child_stab
-            and pair(lat, partner) == child
+        if abs(len(partner) - len(child)) == 1 and (
+            partner[-1] == child[-1] if keeps_top else not all(map(radical.__getitem__, partner))
         ):
-            stats.failed_even += 1
-            stats.first_failure = stats.first_failure or child
+            stab = full
+            below = 0  # the zero ideal's id
+            for i in partner:
+                if not strictly_above[below] >> i & 1:
+                    break  # no chain
+                stab &= norm_bits[i]
+                below = i
+            else:
+                if stab == child_stab and pair(lat, partner) == child:
+                    return
+        stats.failed_even += 1
+        stats.first_failure = stats.first_failure or child
 
     def walk(chain: tuple[int, ...], stab: int, all_radical: bool, even: int, nexts) -> None:
         # ``even`` is 1 when the children of ``chain`` have even length; a
