@@ -263,12 +263,9 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
     def check(stats, pair, keeps_top: bool, child: tuple[int, ...], child_stab: int) -> None:
         """Record ``child`` in ``stats`` unless its partner keeps every law.
 
-        The partner must be one off in length; in the domain (the
-        nonabelian partner, ``keeps_top``, keeps the child's top member; the
-        nonradical one has a member that is not radical); a chain of nonzero
-        ideals, each strictly inside the next, with the child's stabilizer;
-        and it must pair back.  The tests run in that order and stop at the
-        first that fails, so a broken partner is never paired again.  All of
+        The laws are tested in the order given above, and the tests stop at
+        the first that fails, so a broken partner is never paired again.
+        ``keeps_top`` selects the nonabelian pairing's domain test.  All of
         it is inline: a call per checked chain for the domain test, or for
         the stabilizer, costs 2-5% of the D4 walk.
         """
