@@ -23,6 +23,7 @@ from .ideals import (
     Ideal,
     IdealLattice,
     ParabolicType,
+    SizeLimitExceeded,
     derived_ideal,
     enumerate_ideals,
     full_parabolic_type,
@@ -65,6 +66,7 @@ __all__ = [
     "Root",
     "RootSystem",
     "RootSystemSpec",
+    "SizeLimitExceeded",
     "SumVector",
     "VerificationReport",
     "alternating_sum",

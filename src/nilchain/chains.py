@@ -49,10 +49,10 @@ class ComplexKind(enum.Enum):
 class ChainLimitExceeded(RuntimeError):
     """Raised when an enumeration would emit more chains than allowed."""
 
-    def __init__(self, limit: int, count: int) -> None:
+    def __init__(self, limit: int, count: int, *, at_least: bool = False) -> None:
         super().__init__(
-            f"enumeration exceeds the chain guard: {count} > {limit} chains; "
-            "raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed"
+            f"enumeration exceeds the chain guard: {'at least ' if at_least else ''}"
+            f"{count} > {limit} chains; raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed"
         )
         self.limit = limit
         self.count = count
@@ -276,16 +276,28 @@ def complex_family(
     return ids, family_successors(lat, ids), lat.normalizer_bits
 
 
-def check_chain_limit(
-    ids: tuple[int, ...],
-    succ: tuple[tuple[int, ...], ...],
-    max_chains: Optional[int],
-) -> None:
-    """Raise ``ChainLimitExceeded`` if the exact chain total exceeds ``max_chains``."""
-    if max_chains is not None:
-        total = count_index_chains(ids, succ)
-        if total > max_chains:
-            raise ChainLimitExceeded(max_chains, total)
+def guarded_family(
+    rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``complex_family``, or ``ChainLimitExceeded`` if the complex has more than ``max_chains`` chains.
+
+    CI is first refused on a lower bound, before any table is built.  With
+    ``N`` positive roots, the last ``k`` roots in canonical order form an
+    ideal for each ``k`` in ``1..N``: a simple step raises the height, so it
+    stays among them.  These ``N`` ideals form one chain, and each of its
+    ``2^N`` subsets is a CI chain.  Otherwise the exact total is counted
+    over the family.
+    """
+    if max_chains is None:
+        return complex_family(rs, kind)
+    bound = 1 << rs.num_positive_roots
+    if kind is ComplexKind.CI and bound > max_chains:
+        raise ChainLimitExceeded(max_chains, bound, at_least=True)
+    ids, succ, bits = complex_family(rs, kind)
+    total = count_index_chains(ids, succ)
+    if total > max_chains:
+        raise ChainLimitExceeded(max_chains, total)
+    return ids, succ, bits
 
 
 def enumerate_chains(
@@ -295,12 +307,11 @@ def enumerate_chains(
 
     Emission order is deterministic: lexicographic in member index sequences
     under the canonical ordering of ideals (or of proper subsets for CP).
-    If ``max_chains`` is given and the exact total (computed cheaply up
-    front) exceeds it, ``ChainLimitExceeded`` is raised before any chain is
-    emitted.
+    If ``max_chains`` is given and the total exceeds it,
+    ``ChainLimitExceeded`` is raised before any chain is emitted (see
+    ``guarded_family``).
     """
-    ids, succ, _ = complex_family(rs, kind)
-    check_chain_limit(ids, succ, max_chains)
+    ids, succ, _ = guarded_family(rs, kind, max_chains)
     if kind is ComplexKind.CP:
         return (
             ParabolicChain(rs, tuple(_type_of_bits(j) for j in id_chain))

@@ -2,7 +2,8 @@
 
 Exit status: 0 on success (verify: all verdicts true), 1 when an identity or
 property fails, 2 on usage errors (bad flags, malformed chain literals,
-chains outside a pairing's domain, enumeration over the chain guard).
+chains outside a pairing's domain, enumeration over the chain guard, a
+lattice or containment table over its size budget).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .chains import (
     enumerate_chains,
     membership,
 )
-from .ideals import Ideal, enumerate_ideals, ideal_lattice
+from .ideals import Ideal, SizeLimitExceeded, enumerate_ideals, ideal_lattice
 from .pairings import PairingDomainError, pair_nonabelian, pair_nonradical
 from .root_system import RootSystem, RootSystemSpec, build_root_system
 from .sums import DEFAULT_MAX_CHAINS, verify
@@ -413,7 +414,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except (UsageError, ChainLimitExceeded) as exc:
+    except (UsageError, ChainLimitExceeded, SizeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -12,16 +12,62 @@ a root.  Parabolic types are subsets of ``{1..rank}``, naming which negative
 simple root spaces the parabolic contains.
 
 The per-ideal predicates are lookups into the cached ``IdealLattice`` of
-their system, so the first call for a type builds its lattice.
+their system, so the first call for a type builds its lattice.  Lattices
+and containment tables over a stated size are refused before anything is
+built (``SizeLimitExceeded``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
-from .root_system import RootSystem
+from .root_system import RootSystem, exponents
 
 ParabolicType = frozenset[int]
+
+# The most ideals a lattice is built for: A11 (208,012) fits, A12 (742,900)
+# does not.  A11's lattice without its containment table reached 188 MB.
+MAX_IDEALS = 250_000
+# The largest containment table built, by its estimate of n*n/16 bytes for
+# n ideals: E8 (39 MB) and A10 (216 MB) fit, A11 (2.7 GB) does not.
+MAX_CONTAINMENT_BYTES = 512 * 2**20
+
+
+class SizeLimitExceeded(RuntimeError):
+    """Raised before building a table whose estimated size is over its budget."""
+
+
+def ideal_count(rs: RootSystem) -> int:
+    """Number of ideals, ``prod (h + e_i + 1) / (e_i + 1)`` over the exponents.
+
+    This is the Catalan number of the type (Cellini-Papi, J. Algebra 2000);
+    ``h`` is the Coxeter number, the largest exponent plus one.
+    """
+    exps = exponents(rs.spec.family, rs.rank)
+    h = exps[-1] + 1
+    num = den = 1
+    for e in exps:
+        num *= h + e + 1
+        den *= e + 1
+    return num // den
+
+
+def _check_ideal_budget(rs: RootSystem) -> None:
+    count = ideal_count(rs)
+    if count > MAX_IDEALS:
+        raise SizeLimitExceeded(
+            f"{rs.spec} has {count:,} ideals, over the lattice budget of {MAX_IDEALS:,}"
+        )
+
+
+def _check_containment_budget(rs: RootSystem) -> None:
+    count = ideal_count(rs)
+    estimate = count * count // 16
+    if estimate > MAX_CONTAINMENT_BYTES:
+        raise SizeLimitExceeded(
+            f"the containment table of {rs.spec} ({count:,} ideals) needs about "
+            f"{estimate:,} bytes, over its budget of {MAX_CONTAINMENT_BYTES:,}"
+        )
 
 
 def full_parabolic_type(rs: RootSystem) -> ParabolicType:
@@ -165,8 +211,10 @@ def _ideal_masks(rs: RootSystem) -> tuple[int, ...]:
     Roots are taken from the last (highest) to the first.  After each root,
     the list holds every ideal within the roots taken so far: each earlier
     one, and each earlier one plus the new root when all of its upward simple
-    steps (higher, so already taken) are in it.
+    steps (higher, so already taken) are in it.  ``SizeLimitExceeded`` is
+    raised first if the system has more than ``MAX_IDEALS`` ideals.
     """
+    _check_ideal_budget(rs)
     ups = _up_masks(rs)
     found = [0]
     for r in reversed(range(rs.num_positive_roots)):
@@ -318,6 +366,10 @@ class IdealLattice:
     index: abelian and radical flags, the derived ideal, the nilradical of
     the normalizer, normalizer types as bitmasks over simple positions, and
     the containment relation as one bitset of container ids per ideal.
+    Containment takes about ``n*n/16`` bytes for ``n`` ideals, and only
+    chain walks and counts, the pairings and the CR/CP check read it, so
+    ``containers`` is built on its first read, after
+    ``MAX_CONTAINMENT_BYTES`` is checked, and then kept.
     Index 0 is always the zero ideal.  ``nil_id`` maps each subset of simple
     positions, as a bitmask, to the id of its parabolic's nilradical.  The
     object predicates above are lookups into these tables.
@@ -348,7 +400,7 @@ class IdealLattice:
         "radical_closure",
         "normalizer_bits",
         "nil_id",
-        "containers",
+        "_container_table",
         "nonzero_ids",
         "abelian_ids",
         "radical_ids",
@@ -365,11 +417,27 @@ class IdealLattice:
         self.nil_id = tuple(nil_id)
         self.radical_closure = tuple(nil_id[bits] for bits in self.normalizer_bits)
         self.radical = tuple(c == i for i, c in enumerate(self.radical_closure))
-        self.containers = _containers(rs, self.masks, self.index)
+        self._container_table: Optional[tuple[int, ...]] = None
         self.nonzero_ids = tuple(range(1, len(self.masks)))
         self.abelian_ids = tuple(i for i in self.nonzero_ids if self.abelian[i])
         self.radical_ids = tuple(i for i in self.nonzero_ids if self.radical[i])
         self.full_simple_bits = (1 << rs.rank) - 1
+
+    # A property, not ``__getattr__``: with ``__getattr__`` defined, CPython
+    # does not specialize the loads of any slot of the class, and the
+    # pairing walk reads several of them per chain.
+    @property
+    def containers(self) -> tuple[int, ...]:
+        """Per ideal id, the bitset of ids of the ideals containing it; built on first read."""
+        table = self._container_table
+        if table is None:
+            _check_containment_budget(self.rs)
+            table = self._container_table = _containers(self.rs, self.masks, self.index)
+        return table
+
+    @containers.setter
+    def containers(self, table: tuple[int, ...]) -> None:
+        self._container_table = table
 
     def __len__(self) -> int:
         return len(self.masks)

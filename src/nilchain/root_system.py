@@ -56,6 +56,26 @@ def classical_positive_root_count(family: str, rank: int) -> int:
     return 6  # G2
 
 
+_EXCEPTIONAL_EXPONENTS = {
+    ("E", 6): (1, 4, 5, 7, 8, 11),
+    ("E", 7): (1, 5, 7, 9, 11, 13, 17),
+    ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
+    ("F", 4): (1, 5, 7, 11),
+    ("G", 2): (1, 5),
+}
+
+
+def exponents(family: str, rank: int) -> tuple[int, ...]:
+    """Exponents of the given type, ascending; the Coxeter number is the largest plus one."""
+    if family == "A":
+        return tuple(range(1, rank + 1))
+    if family in ("B", "C"):
+        return tuple(range(1, 2 * rank, 2))
+    if family == "D":
+        return tuple(sorted([*range(1, 2 * rank - 2, 2), rank - 1]))
+    return _EXCEPTIONAL_EXPONENTS[(family, rank)]
+
+
 @dataclass(frozen=True)
 class RootSystemSpec:
     """A simple-type selector: family letter plus rank.

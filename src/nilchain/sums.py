@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .chains import ComplexKind, check_chain_limit, complex_family, tally_chains
+from .chains import ComplexKind, complex_family, guarded_family, tally_chains
 from .ideals import IdealLattice, ParabolicType, _type_of_bits, ideal_lattice
 from .pairings import pair_nonabelian_ids, pair_nonradical_ids
 from .root_system import RootSystem
@@ -134,14 +134,14 @@ def _sum_vector(signed: Mapping[int, int]) -> SumVector:
 
 def _summarize(
     rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]
-) -> ComplexSummary:
+) -> tuple[ComplexSummary, dict[int, dict[int, int]]]:
     """Total, length histogram and alternating sum of a complex, counted not walked.
 
-    ``ChainLimitExceeded`` is raised before the count if the exact chain
-    total exceeds ``max_chains``.
+    Also returns the tally's signed counts per member (see ``tally_chains``).
+    ``ChainLimitExceeded`` is raised before the count if the chain total
+    exceeds ``max_chains``.
     """
-    ids, succ, bits = complex_family(rs, kind)
-    check_chain_limit(ids, succ, max_chains)
+    ids, succ, bits = guarded_family(rs, kind, max_chains)
     signed, lengths = tally_chains(ids, succ, bits)
     sums = {(1 << rs.rank) - 1: 1}
     by_length = {0: 1}
@@ -150,14 +150,15 @@ def _summarize(
             sums[stab] = sums.get(stab, 0) + c
         for length, c in lengths[i].items():
             by_length[length] = by_length.get(length, 0) + c
-    return ComplexSummary(kind, sum(by_length.values()), by_length, _sum_vector(sums))
+    summary = ComplexSummary(kind, sum(by_length.values()), by_length, _sum_vector(sums))
+    return summary, signed
 
 
 def alternating_sum(
     rs: RootSystem, kind: ComplexKind, *, max_chains: Optional[int] = None
 ) -> SumVector:
     """Sum of ``(-1)^length * e(stabilizer type)`` over every chain of a complex."""
-    return _summarize(rs, kind, max_chains).sum
+    return _summarize(rs, kind, max_chains)[0].sum
 
 
 def closed_form_sum(rs: RootSystem) -> SumVector:
@@ -177,11 +178,14 @@ def boolean_interval_check(rs: RootSystem) -> bool:
     CP tally's per-member totals, so they are formed on smallest members,
     independently of stabilizers.
     """
-    ids, succ, bits = complex_family(rs, ComplexKind.CP)
-    signed, _ = tally_chains(ids, succ, bits)
+    return _intervals_hold(rs.rank, tally_chains(*complex_family(rs, ComplexKind.CP))[0])
+
+
+def _intervals_hold(rank: int, cp_signed: Mapping[int, Mapping[int, int]]) -> bool:
+    """The boolean-interval check on a CP tally, whose members are their own bitmasks."""
     return all(
-        sum(signed[i].values()) == (-1 if (rs.rank - bits[i].bit_count()) % 2 else 1)
-        for i in ids
+        sum(counts.values()) == (-1 if (rank - j.bit_count()) % 2 else 1)
+        for j, counts in cp_signed.items()
     )
 
 
@@ -357,9 +361,11 @@ def verify(
     ``_cr_cp_failure``).  Failures are recorded in ``notes``, never raised.
     """
     start = time.perf_counter()
-    lat = ideal_lattice(rs)
-    summaries = {kind: _summarize(rs, kind, max_chains) for kind in ComplexKind}
+    # CI first: its guard can refuse before the lattice is built.
+    tallies = {kind: _summarize(rs, kind, max_chains) for kind in ComplexKind}
+    summaries = {kind: summary for kind, (summary, _) in tallies.items()}
     sums = {kind: summary.sum for kind, summary in summaries.items()}
+    lat = ideal_lattice(rs)
     nonab, nonrad = _walk_ci(lat)
     closed = closed_form_sum(rs)
     nonab_complement = _sum_vector(nonab.complement_sum)
@@ -383,7 +389,7 @@ def verify(
         "nonabelian_complement_cancels": nonab_cancels,
         "nonradical_complement_cancels": nonrad_cancels,
         "cr_cp_bijection": not cr_cp_failure,
-        "boolean_interval": boolean_interval_check(rs),
+        "boolean_interval": _intervals_hold(rs.rank, tallies[ComplexKind.CP][1]),
     }
     verdicts["five_way_identity"] = (
         verdicts["sum_ci_matches_closed_form"]

@@ -1,4 +1,9 @@
 import gc
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,7 @@ from nilchain import (
     Ideal,
     IdealLattice,
     RootSystemSpec,
+    SizeLimitExceeded,
     build_root_system,
     derived_ideal,
     enumerate_ideals,
@@ -19,6 +25,10 @@ from nilchain import (
     normalizer_type,
     sum_ideals,
 )
+from nilchain import chains, cli, ideals
+from nilchain.chains import ComplexKind, chain_stabilizer_type, cp_to_cr, cr_to_cp, membership
+from nilchain.ideals import ideal_count
+from nilchain.root_system import exponents
 from nilchain.sums import _cr_cp_failure
 
 from conftest import ACCEPTANCE_SYSTEMS, system
@@ -117,7 +127,7 @@ def test_lattice_counts_match_catalan_and_two_to_the_rank(family, rank):
     # Nonzero abelian ideals and nonzero radical members (nilradicals of the
     # 2^rank - 1 proper parabolics) both number 2^rank - 1.
     lat = IdealLattice(build_root_system(RootSystemSpec(family, rank), allow_large=True))
-    assert len(lat) == CATALAN_COUNTS[(family, rank)]
+    assert len(lat) == CATALAN_COUNTS[(family, rank)] == ideal_count(lat.rs)
     assert len(lat.abelian_ids) == 2**rank - 1
     assert len(lat.radical_ids) == 2**rank - 1
     # Past the chain guard, where ``verify`` stops, the CR/CP check still runs.
@@ -334,3 +344,115 @@ def test_public_predicates_match_vector_oracles(family, rank):
     for _, subset in simple_subsets(rank):
         expected = Ideal.from_mask(rs, mask_of(nilradical_by_vectors(roots, subset)))
         assert nilradical_of_parabolic(rs, subset) == expected
+
+
+@pytest.mark.parametrize(
+    "family,ranks",
+    [("A", range(1, 13)), ("B", range(2, 9)), ("C", range(3, 9)), ("D", range(4, 9)),
+     ("E", range(6, 9)), ("F", [4]), ("G", [2])],
+)
+def test_exponents_are_the_dual_partition_of_root_heights(family, ranks):
+    # Kostant: as many exponents are >= k as there are positive roots of
+    # height k.  This checks the exponent table that ``ideal_count`` reads.
+    for rank in ranks:
+        rs = build_root_system(RootSystemSpec(family, rank), allow_large=True)
+        heights = [r.height for r in rs.positive_roots]
+        exps = exponents(family, rank)
+        assert len(exps) == rank
+        for k in range(1, max(heights) + 2):
+            assert sum(e >= k for e in exps) == heights.count(k), (family, rank, k)
+
+
+def _refuse_construction(monkeypatch):
+    """Make any ideal enumeration or containment build fail loudly."""
+
+    def built(*args):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr(ideals, "_up_masks", built)
+    monkeypatch.setattr(ideals, "_containers", built)
+
+
+def _bare_lattice(rs):
+    """A lattice with none of its tables built, so only the size gates run."""
+    lat = object.__new__(IdealLattice)
+    lat.rs, lat.masks, lat.index, lat.containers = rs, (), {}, None
+    return lat
+
+
+def test_size_gates_refuse_before_construction(monkeypatch, capsys):
+    _refuse_construction(monkeypatch)
+    systems = {
+        (f, r): build_root_system(RootSystemSpec(f, r), allow_large=True)
+        for f, r in [("A", 10), ("A", 11), ("A", 12), ("E", 8)]
+    }
+    counts = {spec: ideal_count(rs) for spec, rs in systems.items()}
+    assert counts == {("A", 10): 58_786, ("A", 11): 208_012, ("A", 12): 742_900, ("E", 8): 25_080}
+    # Lattice budget: A11 reaches construction, A12 is refused before it.
+    with pytest.raises(AssertionError, match="construction started"):
+        enumerate_ideals(systems["A", 11])
+    for build in (enumerate_ideals, IdealLattice, ideal_lattice):
+        with pytest.raises(SizeLimitExceeded, match="A12 has 742,900 ideals.*250,000"):
+            build(systems["A", 12])
+    assert RootSystemSpec("A", 12) not in ideals._LATTICE_CACHE
+    code = cli.run(["ideals", "--type", "A", "--rank", "12", "--allow-large"], out=io.StringIO())
+    assert code == 2
+    assert "742,900 ideals, over the lattice budget of 250,000" in capsys.readouterr().err
+    # Containment budget: E8 and A10 reach construction, A11 is refused.
+    for spec in [("E", 8), ("A", 10)]:
+        with pytest.raises(AssertionError, match="construction started"):
+            _bare_lattice(systems[spec]).containers
+    with pytest.raises(SizeLimitExceeded, match=r"A11 \(208,012 ideals\).*2,704,312,009 bytes.*536,870,912"):
+        _bare_lattice(systems["A", 11]).containers
+
+
+def _containers_unset(lat) -> bool:
+    # Reads the slot behind the property, so the lazy build is not triggered.
+    return lat._container_table is None
+
+
+def test_containment_is_built_on_first_read_only(monkeypatch):
+    monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
+    monkeypatch.setattr(ideals, "_containers", lambda *args: pytest.fail("containment built"))
+    e6 = system("E", 6)
+    assert _containers_unset(IdealLattice(e6))
+    assert cli.run(["ideals", "--type", "E", "--rank", "6", "--format", "json"], out=io.StringIO()) == 0
+    assert _containers_unset(ideal_lattice(e6))
+    rs = system("B", 3)
+    for n in enumerate_ideals(rs):
+        is_abelian(n), derived_ideal(n), normalizer_type(n), is_radical_member(n)
+    for _, subset in simple_subsets(rs.rank):
+        nilradical_of_parabolic(rs, subset)
+    # CP chains come from subsets alone; their images are the CR chains.
+    for pchain in chains.enumerate_chains(rs, ComplexKind.CP):
+        chain = cp_to_cr(pchain)
+        membership(ComplexKind.CA, chain), chain_stabilizer_type(chain)
+        assert cr_to_cp(chain) == pchain
+    lat = ideal_lattice(rs)
+    assert _containers_unset(lat)
+    monkeypatch.undo()
+    ideals_b3 = enumerate_ideals(rs)
+    assert lat.containers == tuple(
+        sum(1 << j for j, m in enumerate(ideals_b3) if n.mask & ~m.mask == 0) for n in ideals_b3
+    )
+    assert lat.containers is lat.containers
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_one_predicate_call_on_a10_stays_small():
+    # Without its containment table (about 216 MB by the n*n/16 estimate),
+    # A10's lattice of 58,786 ideals stays well under 100 MB.  The peak is
+    # VmHWM, not ru_maxrss: on Linux the child's ru_maxrss keeps this
+    # process's peak across the exec.
+    code = (
+        "from nilchain import Ideal, RootSystemSpec, build_root_system, is_abelian\n"
+        "rs = build_root_system(RootSystemSpec('A', 10))\n"
+        "assert is_abelian(Ideal(rs, [rs.num_positive_roots - 1]))\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100 * 1024  # in kB

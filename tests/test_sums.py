@@ -1,3 +1,4 @@
+import io
 import re
 from collections import Counter
 
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 from nilchain import (
     ChainLimitExceeded,
     ComplexKind,
+    Ideal,
+    RootSystemSpec,
     SumVector,
     alternating_sum,
     boolean_interval_check,
+    build_root_system,
     chain_stabilizer_type,
     closed_form_sum,
     enumerate_chains,
@@ -19,7 +23,7 @@ from nilchain import (
     pair_nonradical,
     verify,
 )
-from nilchain import ideals, sums
+from nilchain import chains, cli, ideals, sums
 from nilchain.chains import complex_family, count_index_chains, tally_chains
 from nilchain.cli import parse_chain_literal
 from nilchain.ideals import IdealLattice, ideal_lattice
@@ -177,6 +181,66 @@ def test_verify_respects_max_chains(a2):
     with pytest.raises(ChainLimitExceeded):
         verify(a2, max_chains=10)
     assert verify(a2, max_chains=12).ok
+
+
+def test_ci_has_at_least_two_to_the_root_count_chains():
+    # The last k roots in canonical order form an ideal for every k (the
+    # constructor checks upper closure), so these N ideals form one chain
+    # and each of its 2^N subsets is a CI chain.
+    for family, rank in ACCEPTANCE_SYSTEMS + [("A", 4)]:
+        rs = system(family, rank)
+        m = rs.num_positive_roots
+        for k in range(1, m + 1):
+            Ideal.from_mask(rs, (1 << m) - (1 << (m - k)))
+        ids, succ, _ = complex_family(rs, ComplexKind.CI)
+        assert count_index_chains(ids, succ) >= 1 << m, (family, rank)
+
+
+def test_ci_guard_refuses_before_any_table_is_built(monkeypatch, capsys, a2):
+    with pytest.raises(ChainLimitExceeded, match=r"at least 8 > 7 chains") as exc:
+        alternating_sum(a2, ComplexKind.CI, max_chains=7)
+    assert exc.value.count == 8
+    # Past the bound the total is counted exactly.
+    with pytest.raises(ChainLimitExceeded, match=r"guard: 12 > 11 chains"):
+        alternating_sum(a2, ComplexKind.CI, max_chains=11)
+
+    def built(*args):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
+    monkeypatch.setattr(ideals, "_ideal_masks", built)
+    monkeypatch.setattr(ideals, "_containers", built)
+    monkeypatch.setattr(chains, "family_successors", built)
+    e7 = build_root_system(RootSystemSpec("E", 7), allow_large=True)
+    with pytest.raises(ChainLimitExceeded, match="at least") as exc:
+        verify(e7)
+    assert exc.value.count == 2**63
+    with pytest.raises(ChainLimitExceeded, match="at least"):
+        enumerate_chains(e7, ComplexKind.CI, max_chains=sums.DEFAULT_MAX_CHAINS)
+    argv = ["verify", "--type", "E", "--rank", "8", "--allow-large"]
+    assert cli.run(argv, out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: enumeration exceeds the chain guard: at least {2**120} > "
+    )
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_verify_tallies_each_complex_once(monkeypatch, a2, broken):
+    # The boolean-interval buckets are read from the CP tally the sums use,
+    # so a fault in that tally fails the verdict.
+    cp_ids = complex_family(a2, ComplexKind.CP)[0]
+    calls = []
+
+    def tally(ids, succ, bits):
+        calls.append(ids)
+        signed, lengths = tally_chains(ids, succ, bits)
+        if broken and ids == cp_ids:
+            signed[ids[0]][ids[0]] += 2
+        return signed, lengths
+
+    monkeypatch.setattr(sums, "tally_chains", tally)
+    assert verify(a2).verdicts["boolean_interval"] is not broken
+    assert len(calls) == len(ComplexKind)
 
 
 def test_alternating_sum_respects_max_chains(a2):
