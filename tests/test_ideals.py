@@ -25,8 +25,15 @@ from nilchain import (
     normalizer_type,
     sum_ideals,
 )
-from nilchain import chains, cli, ideals
-from nilchain.chains import ComplexKind, chain_stabilizer_type, cp_to_cr, cr_to_cp, membership
+from nilchain import cli, ideals
+from nilchain.chains import (
+    ComplexKind,
+    chain_stabilizer_type,
+    cp_to_cr,
+    cr_to_cp,
+    enumerate_chains,
+    membership,
+)
 from nilchain.ideals import ideal_count
 from nilchain.root_system import exponents
 from nilchain.sums import _cr_cp_failure
@@ -424,7 +431,7 @@ def test_containment_is_built_on_first_read_only(monkeypatch):
     for _, subset in simple_subsets(rs.rank):
         nilradical_of_parabolic(rs, subset)
     # CP chains come from subsets alone; their images are the CR chains.
-    for pchain in chains.enumerate_chains(rs, ComplexKind.CP):
+    for pchain in enumerate_chains(rs, ComplexKind.CP):
         chain = cp_to_cr(pchain)
         membership(ComplexKind.CA, chain), chain_stabilizer_type(chain)
         assert cr_to_cp(chain) == pchain
