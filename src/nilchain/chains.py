@@ -28,6 +28,7 @@ from .ideals import (
     ParabolicType,
     _bit_positions,
     _check_parabolic_type,
+    _containment_lattice,
     _type_of_bits,
     full_parabolic_type,
     ideal_lattice,
@@ -67,7 +68,7 @@ class Chain:
 
     def __post_init__(self) -> None:
         for n in self.members:
-            if n.rs.spec != self.rs.spec:
+            if n.rs is not self.rs and n.rs.spec != self.rs.spec:
                 raise ValueError(f"chain member from {n.rs.spec} in a {self.rs.spec} chain")
             if n.is_zero:
                 raise ValueError("the zero ideal is never a chain member")
@@ -258,15 +259,21 @@ def complex_family(
     stabilizer.
     """
     if kind is ComplexKind.CP:
-        proper = range((1 << rs.rank) - 1)
-        ids = tuple(sorted(proper, key=lambda j: (j.bit_count(), _bit_positions(j))))
-        succ: list[tuple[int, ...]] = [()] * len(proper)
-        for pos, j in enumerate(ids):
-            # Every strict superset of ``j`` is larger, so it comes later.  Read
-            # by index: slices of ``ids`` raise peak RSS over repeated calls.
-            succ[j] = tuple(ids[q] for q in range(pos + 1, len(ids)) if ids[q] & j == j)
-        return ids, tuple(succ), tuple(proper)
-    lat = ideal_lattice(rs)
+        full = (1 << rs.rank) - 1
+        ids = tuple(sorted(range(full), key=lambda j: (j.bit_count(), _bit_positions(j))))
+        position = {j: pos for pos, j in enumerate(ids)}
+        succ: list[tuple[int, ...]] = [()] * full
+        for j in ids:
+            # ``s = (s + 1) | j`` steps through the supersets of ``j`` in
+            # increasing order; the full set, the last, is no member.
+            supersets = []
+            s = (j + 1) | j
+            while s != full:
+                supersets.append(s)
+                s = (s + 1) | j
+            succ[j] = tuple(sorted(supersets, key=position.__getitem__))
+        return ids, tuple(succ), tuple(range(full))
+    lat = _containment_lattice(rs)
     if kind is ComplexKind.CI:
         ids = lat.nonzero_ids
     elif kind is ComplexKind.CA:
@@ -312,13 +319,17 @@ def enumerate_chains(
     ``guarded_family``).
     """
     ids, succ, _ = guarded_family(rs, kind, max_chains)
+    # One member object per family member, shared by every chain holding it;
+    # ideals carry the caller's ``rs``, so ``Chain`` compares systems by identity.
     if kind is ComplexKind.CP:
+        types = {j: _type_of_bits(j) for j in ids}
         return (
-            ParabolicChain(rs, tuple(_type_of_bits(j) for j in id_chain))
+            ParabolicChain(rs, tuple(map(types.__getitem__, id_chain)))
             for id_chain in iter_index_chains(ids, succ)
         )
     lat = ideal_lattice(rs)
+    views = {i: Ideal._unchecked(rs, lat.masks[i]) for i in ids}
     return (
-        Chain(rs, tuple(lat.ideal(i) for i in id_chain))
+        Chain(rs, tuple(map(views.__getitem__, id_chain)))
         for id_chain in iter_index_chains(ids, succ)
     )

@@ -23,7 +23,14 @@ from .chains import (
     enumerate_chains,
     membership,
 )
-from .ideals import Ideal, SizeLimitExceeded, enumerate_ideals, ideal_lattice
+from .ideals import (
+    Ideal,
+    IdealLattice,
+    SizeLimitExceeded,
+    _bit_positions,
+    enumerate_ideals,
+    ideal_lattice,
+)
 from .pairings import PairingDomainError, pair_nonabelian, pair_nonradical
 from .root_system import RootSystem, RootSystemSpec, build_root_system
 from .sums import DEFAULT_MAX_CHAINS, verify
@@ -147,12 +154,15 @@ def _write_json(doc: dict, out) -> None:
     out.write("\n")
 
 
-def _ideal_json(n: Ideal) -> dict:
-    roots = n.root_indices()
-    return {
-        "roots": list(roots),
-        "vectors": [list(n.rs.positive_roots[i].coeffs) for i in roots],
-    }
+def _json_array(items: Sequence[str], indent: str) -> str:
+    """Rendered items laid out as ``json.dumps(..., indent=2)`` lays out an array.
+
+    The array opens on a line indented by ``indent``; each item is already
+    rendered one level deeper, after ``indent`` and two more spaces.
+    """
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 def _chain_json(c: Chain) -> list[list[int]]:
@@ -205,20 +215,29 @@ def _cmd_ideals(args: argparse.Namespace, out) -> int:
             continue
         rows.append((n, abelian, radical, lat.normalizer_type_of(i)))
     if args.format == "json":
-        doc = {
-            "type": rs.spec.family,
-            "rank": rs.rank,
-            "ideals": [
-                {
-                    **_ideal_json(n),
-                    "abelian": abelian,
-                    "radical": radical,
-                    "normalizer": sorted(norm),
-                }
-                for n, abelian, radical, norm in rows
-            ],
-        }
-        _write_json(doc, out)
+        # The bytes of json.dumps(doc, indent=2), one ideal at a time; each
+        # root's index and coefficient block is rendered once per call.
+        key, item = " " * 6, " " * 8
+        root_items = [item + str(r) for r in range(rs.num_positive_roots)]
+        vector_items = [
+            item + _json_array([item + "  " + str(c) for c in root.coeffs], item)
+            for root in rs.positive_roots
+        ]
+        out.write(f'{{\n  "type": {json.dumps(rs.spec.family)},\n  "rank": {rs.rank},\n  "ideals": ')
+        sep = "[\n"
+        for n, abelian, radical, norm in rows:
+            roots = n.root_indices()
+            out.write(
+                f"{sep}    {{\n"
+                f'{key}"roots": {_json_array([root_items[r] for r in roots], key)},\n'
+                f'{key}"vectors": {_json_array([vector_items[r] for r in roots], key)},\n'
+                f'{key}"abelian": {"true" if abelian else "false"},\n'
+                f'{key}"radical": {"true" if radical else "false"},\n'
+                f'{key}"normalizer": {_json_array([item + str(k) for k in sorted(norm)], key)}\n'
+                "    }"
+            )
+            sep = ",\n"
+        out.write("\n  ]\n}\n" if rows else "[]\n}\n")
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["roots", "size", "abelian", "radical", "normalizer"])
@@ -242,26 +261,50 @@ def _cmd_ideals(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _member_view(lat: Optional[IdealLattice], member) -> tuple[Sequence[int], int]:
+    """A chain member's sorted elements and its stabilizer bits.
+
+    An ideal's bits are its normalizer's; a parabolic type (``lat`` is
+    ``None``) is its own bits.  A chain's stabilizer is the AND of its
+    members' bits, as in ``chain_stabilizer_type``.
+    """
+    if lat is None:
+        return sorted(member), sum(1 << (k - 1) for k in member)
+    return member.root_indices(), lat.normalizer_bits[lat.index[member.mask]]
+
+
 def _cmd_chains(args: argparse.Namespace, out) -> int:
     rs = _build(args)
     kind = ComplexKind(args.complex)
     limit = _max_chains(args)
+    # The guard and the size budgets refuse here, before the lattice is read.
+    stream = enumerate_chains(rs, kind, max_chains=limit)
+    # Each line is the bytes of json.dumps(doc) or of the display form,
+    # joined from text rendered once per member and once per stabilizer.
+    lat = None if kind is ComplexKind.CP else ideal_lattice(rs)
+    left, right = "[]" if args.format == "json" else "{}"
+    members: dict = {}
+    stabilizers: dict[int, str] = {}
     total = 0
-    for chain in enumerate_chains(rs, kind, max_chains=limit):
-        stab = chain_stabilizer_type(chain)
+    for chain in stream:
+        texts = []
+        bits = (1 << rs.rank) - 1
+        for member in chain.members:
+            key = member if lat is None else member.mask
+            entry = members.get(key)
+            if entry is None:
+                positions, member_bits = _member_view(lat, member)
+                entry = members[key] = (left + ", ".join(map(str, positions)) + right, member_bits)
+            texts.append(entry[0])
+            bits &= entry[1]
+        stab = stabilizers.get(bits)
+        if stab is None:
+            stab = stabilizers[bits] = left + ", ".join(str(p + 1) for p in _bit_positions(bits)) + right
         if args.format == "json":
-            if kind is ComplexKind.CP:
-                doc = {"chain": [sorted(j) for j in chain.members]}
-            else:
-                doc = {"chain": _chain_json(chain)}
-            doc["length"] = chain.length
-            doc["stabilizer"] = sorted(stab)
-            print(json.dumps(doc), file=out)
+            line = f'{{"chain": [{", ".join(texts)}], "length": {len(texts)}, "stabilizer": {stab}}}\n'
         else:
-            print(
-                f"{chain}  length={chain.length}  stabilizer={_subset_str(stab)}",
-                file=out,
-            )
+            line = f"[{' < '.join(texts)}]  length={len(texts)}  stabilizer={stab}\n"
+        out.write(line)
         total += 1
     if args.format != "json":
         print(f"total: {total} chains in {kind.name} of {rs.spec}", file=out)

@@ -179,7 +179,7 @@ def _validate_upper_closed(rs: RootSystem, mask: int) -> None:
 
 
 def _check_same_system(a: Ideal, b: Ideal) -> None:
-    if a.rs.spec != b.rs.spec:
+    if a.rs is not b.rs and a.rs.spec != b.rs.spec:
         raise ValueError(f"ideals belong to different root systems: {a.rs.spec} vs {b.rs.spec}")
 
 
@@ -464,4 +464,18 @@ def ideal_lattice(rs: RootSystem) -> IdealLattice:
     if lat is None:
         lat = IdealLattice(rs)
         _LATTICE_CACHE[rs.spec] = lat
+    return lat
+
+
+def _containment_lattice(rs: RootSystem) -> IdealLattice:
+    """``ideal_lattice(rs)`` for a caller that reads ``containers``.
+
+    A lattice not yet cached is built only after the containment budget is
+    checked, so a table that would be refused costs no lattice first.  A
+    cached lattice skips the check: ``containers`` checks on its first read.
+    """
+    lat = _LATTICE_CACHE.get(rs.spec)
+    if lat is None:
+        _check_containment_budget(rs)
+        lat = ideal_lattice(rs)
     return lat

@@ -21,7 +21,7 @@ inserts ``r + (j-th member)`` after position ``j`` otherwise.
 from __future__ import annotations
 
 from .chains import Chain
-from .ideals import IdealLattice, ideal_lattice
+from .ideals import IdealLattice, _containment_lattice
 
 
 class PairingDomainError(ValueError):
@@ -63,7 +63,7 @@ def _pair(chain: Chain, name: str, pair_ids, out_of_domain, domain_message: str)
     """``pair_ids`` applied to ``chain`` through lattice ids, after the domain checks."""
     if not chain.members:
         raise PairingDomainError(f"the empty chain has no {name} member to pair on")
-    lat = ideal_lattice(chain.rs)
+    lat = _containment_lattice(chain.rs)
     ids = tuple(lat.id_of(n) for n in chain.members)
     if out_of_domain(lat, ids):
         raise PairingDomainError(domain_message)

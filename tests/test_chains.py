@@ -18,7 +18,9 @@ from nilchain import (
     membership,
     normalizer_type,
 )
+from nilchain.chains import complex_family
 from nilchain.cli import run
+from nilchain.ideals import _bit_positions
 
 from conftest import ACCEPTANCE_SYSTEMS, system
 from oracles import derived_by_vectors, nilradical_by_vectors, normalizer_by_vectors
@@ -158,6 +160,21 @@ def test_cp_emission_order_a4():
     ]
     assert len(set(sequences)) == len(sequences) == 150
     assert sequences == sorted(sequences)
+
+
+def _cp_successors_by_scan(rank):
+    """CP ids and successors, each subset's from a scan of the later positions."""
+    proper = range((1 << rank) - 1)
+    ids = tuple(sorted(proper, key=lambda j: (j.bit_count(), _bit_positions(j))))
+    succ = [()] * len(proper)
+    for pos, j in enumerate(ids):
+        succ[j] = tuple(ids[q] for q in range(pos + 1, len(ids)) if ids[q] & j == j)
+    return ids, tuple(succ), tuple(proper)
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_cp_family_matches_the_scan(rank):
+    assert complex_family(system("A", rank), ComplexKind.CP) == _cp_successors_by_scan(rank)
 
 
 def test_cr_cp_example(a2):

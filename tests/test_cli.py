@@ -8,7 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from nilchain import Chain, ComplexKind, Ideal, enumerate_chains
+from nilchain import (
+    Chain,
+    ComplexKind,
+    Ideal,
+    chain_stabilizer_type,
+    enumerate_chains,
+    enumerate_ideals,
+    is_abelian,
+    is_radical_member,
+    normalizer_type,
+)
 from nilchain.cli import parse_chain_literal, run
 
 from conftest import system
@@ -244,6 +254,55 @@ def test_streamed_json_matches_one_shot_dumps(family, rank, argv):
     code, text = invoke(*argv, "--type", family, "--rank", str(rank), "--format", "json")
     assert code == 0
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "family,rank,flags",
+    [("A", 1, ()), ("A", 2, ()), ("B", 3, ()), ("G", 2, ()), ("D", 4, ()), ("E", 6, ()),
+     ("F", 4, ("abelian",)), ("B", 5, ("radical",)), ("G", 2, ("abelian", "radical"))],
+)
+def test_ideals_json_matches_the_document(family, rank, flags):
+    # The document the listing stands for, built from the public predicates.
+    # G2 has no abelian radical ideal, so its last listing is empty.
+    rs = system(family, rank)
+    rows = []
+    for n in enumerate_ideals(rs):
+        abelian, radical = is_abelian(n), not n.is_zero and is_radical_member(n)
+        if all({"abelian": abelian, "radical": radical}[flag] for flag in flags):
+            rows.append(
+                {
+                    "roots": list(n.root_indices()),
+                    "vectors": [list(rs.positive_roots[r].coeffs) for r in n.root_indices()],
+                    "abelian": abelian,
+                    "radical": radical,
+                    "normalizer": sorted(normalizer_type(n)),
+                }
+            )
+    doc = {"type": family, "rank": rank, "ideals": rows}
+    options = [f"--{flag}" for flag in flags]
+    code, text = invoke("ideals", "--type", family, "--rank", str(rank), *options, "--format", "json")
+    assert code == 0
+    assert text == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 3), ("G", 2)])
+@pytest.mark.parametrize("kind", list(ComplexKind), ids=lambda k: k.value)
+def test_chains_listing_matches_the_chains(family, rank, kind):
+    # Each line built from the chain objects: json.dumps of its document, or
+    # the display form with the stabilizer.
+    rs = system(family, rank)
+    json_lines, human_lines = [], []
+    for chain in enumerate_chains(rs, kind):
+        stab = sorted(chain_stabilizer_type(chain))
+        members = [sorted(m) if kind is ComplexKind.CP else list(m.root_indices()) for m in chain.members]
+        json_lines.append(json.dumps({"chain": members, "length": chain.length, "stabilizer": stab}))
+        human_lines.append(
+            f"{chain}  length={chain.length}  stabilizer={{{', '.join(map(str, stab))}}}"
+        )
+    human_lines.append(f"total: {len(json_lines)} chains in {kind.name} of {rs.spec}")
+    argv = ("chains", "--type", family, "--rank", str(rank), "--complex", kind.value)
+    assert invoke(*argv, "--format", "json") == (0, "".join(line + "\n" for line in json_lines))
+    assert invoke(*argv) == (0, "".join(line + "\n" for line in human_lines))
 
 
 def _module_main(*argv):

@@ -413,6 +413,26 @@ def test_size_gates_refuse_before_construction(monkeypatch, capsys):
         _bare_lattice(systems["A", 11]).containers
 
 
+def test_chain_commands_on_a11_stop_before_the_lattice(monkeypatch, capsys):
+    # A11's lattice fits its budget but its containment table does not, so a
+    # command that walks, counts or pairs chains stops before the lattice.
+    def built(*args):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
+    monkeypatch.setattr(ideals, "_ideal_masks", built)
+    top = build_root_system(RootSystemSpec("A", 11), allow_large=True).num_positive_roots - 1
+    for argv in (
+        ["chains", "--complex", "ca"],
+        ["pair", "--complex", "ci-minus-ca", "--chain", f"{{{top}}}"],
+        ["pair", "--complex", "ci-minus-cr", "--chain", f"{{{top}}}"],
+        ["verify", "--max-chains", str(10**30)],
+    ):
+        code = cli.run([*argv, "--type", "A", "--rank", "11", "--allow-large"], out=io.StringIO())
+        assert code == 2, argv
+        assert "the containment table of A11 (208,012 ideals)" in capsys.readouterr().err
+
+
 def _containers_unset(lat) -> bool:
     # Reads the slot behind the property, so the lazy build is not triggered.
     return lat._container_table is None
