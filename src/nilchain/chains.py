@@ -72,8 +72,9 @@ class Chain:
                 raise ValueError(f"chain member from {n.rs.spec} in a {self.rs.spec} chain")
             if n.is_zero:
                 raise ValueError("the zero ideal is never a chain member")
+        # The members share the chain's system, so their masks compare directly.
         for a, b in zip(self.members, self.members[1:]):
-            if not a < b:
+            if a.mask & ~b.mask or a.mask == b.mask:
                 raise ValueError(f"chain members must strictly increase: {a} !< {b}")
 
     @property

@@ -20,8 +20,13 @@ inserts ``r + (j-th member)`` after position ``j`` otherwise.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .chains import Chain
 from .ideals import IdealLattice, _containment_lattice
+
+# The pairing laws, in the order ``broken_law`` tests them.
+LAWS = ("length_change_is_one", "same_domain", "stabilizer_preserved", "involution")
 
 
 class PairingDomainError(ValueError):
@@ -59,15 +64,64 @@ def pair_nonradical_ids(lat: IdealLattice, ids: tuple[int, ...]) -> tuple[int, .
     return ids[: j + 1] + (merged,) + ids[j + 1 :]
 
 
-def _pair(chain: Chain, name: str, pair_ids, out_of_domain, domain_message: str) -> Chain:
-    """``pair_ids`` applied to ``chain`` through lattice ids, after the domain checks."""
+def broken_law(
+    lat: IdealLattice, pair, keeps_top: bool, ids: tuple[int, ...], stab: int
+) -> Optional[str]:
+    """The first law in ``LAWS`` that ``pair``'s partner ``p`` of ``ids`` breaks, or ``None``.
+
+    ``ids`` is a domain chain with stabilizer bits ``stab``.  ``p`` must be
+    one off in length; in the domain (with the top member of ``ids`` if
+    ``keeps_top``, for the nonabelian pairing, else with a nonradical
+    member); a chain with stabilizer ``stab`` (a ``p`` that is no chain
+    breaks this law); and pair back to ``ids``.  Testing stops at the first
+    failure, so a broken partner is never paired again.
+
+    On a domain's even-length chains these laws make the pairing an
+    injection into its odd ones, undone by itself; if the two are equally
+    many, every odd chain is some ``p``, and the laws hold there too.  So a
+    law fails somewhere exactly when an even chain breaks one or the counts
+    differ.
+    """
+    partner = pair(lat, ids)
+    if abs(len(partner) - len(ids)) != 1:
+        return "length_change_is_one"
+    if keeps_top:
+        if not partner or partner[-1] != ids[-1]:
+            return "same_domain"
+    elif all(map(lat.radical.__getitem__, partner)):
+        return "same_domain"
+    containers, norm_bits = lat.containers, lat.normalizer_bits
+    bits = lat.full_simple_bits
+    below = 0  # the zero ideal's id
+    for i in partner:
+        if i == below or not containers[below] >> i & 1:
+            return "stabilizer_preserved"
+        bits &= norm_bits[i]
+        below = i
+    if bits != stab:
+        return "stabilizer_preserved"
+    return "involution" if pair(lat, partner) != ids else None
+
+
+def domain_ids(chain: Chain, keeps_top: bool) -> tuple[IdealLattice, tuple[int, ...]]:
+    """The lattice and ids of a chain in the nonabelian pairing's domain if
+    ``keeps_top``, else in the nonradical one's; ``PairingDomainError`` outside."""
     if not chain.members:
+        name = "nonabelian" if keeps_top else "nonradical"
         raise PairingDomainError(f"the empty chain has no {name} member to pair on")
     lat = _containment_lattice(chain.rs)
     ids = tuple(lat.id_of(n) for n in chain.members)
-    if out_of_domain(lat, ids):
-        raise PairingDomainError(domain_message)
-    return Chain(lat.rs, tuple(lat.ideal(i) for i in pair_ids(lat, ids)))
+    if keeps_top and lat.abelian[ids[-1]]:
+        raise PairingDomainError(
+            "every member is abelian (the top member is, hence all are); "
+            "the nonabelian pairing does not apply"
+        )
+    if not keeps_top and all(map(lat.radical.__getitem__, ids)):
+        raise PairingDomainError(
+            "every member equals the nilradical of its normalizer; "
+            "the nonradical pairing does not apply"
+        )
+    return lat, ids
 
 
 def pair_nonabelian(chain: Chain) -> Chain:
@@ -76,14 +130,8 @@ def pair_nonabelian(chain: Chain) -> Chain:
     The result has the same top member and the same stabilizer type, lies in
     the same domain, and applying the pairing again restores the input.
     """
-    return _pair(
-        chain,
-        "nonabelian",
-        pair_nonabelian_ids,
-        lambda lat, ids: lat.abelian[ids[-1]],
-        "every member is abelian (the top member is, hence all are); "
-        "the nonabelian pairing does not apply",
-    )
+    lat, ids = domain_ids(chain, True)
+    return Chain(lat.rs, tuple(map(lat.ideal, pair_nonabelian_ids(lat, ids))))
 
 
 def pair_nonradical(chain: Chain) -> Chain:
@@ -93,11 +141,5 @@ def pair_nonradical(chain: Chain) -> Chain:
     type, lies in the same domain, and applying the pairing again restores
     the input.
     """
-    return _pair(
-        chain,
-        "nonradical",
-        pair_nonradical_ids,
-        lambda lat, ids: all(lat.radical[i] for i in ids),
-        "every member equals the nilradical of its normalizer; "
-        "the nonradical pairing does not apply",
-    )
+    lat, ids = domain_ids(chain, False)
+    return Chain(lat.rs, tuple(map(lat.ideal, pair_nonradical_ids(lat, ids))))

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional
 
 from .chains import ComplexKind, complex_family, guarded_family, tally_chains
 from .ideals import IdealLattice, ParabolicType, _type_of_bits, ideal_lattice
-from .pairings import pair_nonabelian_ids, pair_nonradical_ids
+from .pairings import broken_law, pair_nonabelian_ids, pair_nonradical_ids
 from .root_system import RootSystem
 
 DEFAULT_MAX_CHAINS = 10**8
@@ -239,17 +239,8 @@ class _InvolutionStats:
 def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
     """Walk every CI chain once and test both pairings; the caller guards the total.
 
-    One check tests the laws of either pairing on each even-length chain
-    ``e`` of its domain: the partner ``p`` is one off in length, lies in the
-    domain (it keeps ``e``'s top member, for the nonabelian pairing; not all
-    its members are radical, for the nonradical one), is a chain with
-    ``e``'s stabilizer, and pairs back to ``e``.  Those laws make the
-    pairing an injection from the domain's even chains into its odd ones,
-    undone by itself; if the two are equally many, every odd chain is some
-    ``p``, and every law holds there too.  So a law fails somewhere exactly
-    when an even chain fails one or the counts differ, and the pairing is
-    called once per domain chain.  Each domain's chains are tallied per
-    stabilizer bitmask and parity.
+    Each domain's chains are tallied per stabilizer bitmask and parity, and
+    ``broken_law`` tests the even-length ones (see there why that suffices).
     """
     nonab = _InvolutionStats([0] * (2 << lat.rs.rank))
     nonrad = _InvolutionStats([0] * (2 << lat.rs.rank))
@@ -259,40 +250,11 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
     abelian = lat.abelian
     radical = lat.radical
     norm_bits = lat.normalizer_bits
-    full = lat.full_simple_bits
-    strictly_above = tuple(c & ~(1 << i) for i, c in enumerate(lat.containers))
     nonab_tally = nonab.tally
     nonrad_tally = nonrad.tally
 
-    def check(stats, pair, keeps_top: bool, child: tuple[int, ...], child_stab: int) -> None:
-        """Record ``child`` in ``stats`` unless its partner keeps every law.
-
-        The laws are tested in the order given above, and the tests stop at
-        the first that fails, so a broken partner is never paired again.
-        ``keeps_top`` selects the nonabelian pairing's domain test.  All of
-        it is inline: a call per checked chain for the domain test, or for
-        the stabilizer, costs 2-5% of the D4 walk.
-        """
-        partner = pair(lat, child)
-        if abs(len(partner) - len(child)) == 1 and (
-            partner[-1] == child[-1] if keeps_top else not all(map(radical.__getitem__, partner))
-        ):
-            stab = full
-            below = 0  # the zero ideal's id
-            for i in partner:
-                if not strictly_above[below] >> i & 1:
-                    break  # no chain
-                stab &= norm_bits[i]
-                below = i
-            else:
-                if stab == child_stab and pair(lat, partner) == child:
-                    return
-        stats.failed_even += 1
-        stats.first_failure = stats.first_failure or child
-
     def walk(chain: tuple[int, ...], stab: int, all_radical: bool, even: int, nexts) -> None:
-        # ``even`` is 1 when the children of ``chain`` have even length; a
-        # partner one off in length from a chain of length >= 2 is nonempty.
+        # ``even`` is 1 when the children of ``chain`` have even length.
         for nxt in nexts:
             child = chain + (nxt,)
             child_stab = stab & norm_bits[nxt]
@@ -300,16 +262,18 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
             key = child_stab << 1 | even
             if not abelian[nxt]:
                 nonab_tally[key] += 1
-                if even:
-                    check(nonab, pair_nonab, True, child, child_stab)
+                if even and broken_law(lat, pair_nonab, True, child, child_stab):
+                    nonab.failed_even += 1
+                    nonab.first_failure = nonab.first_failure or child
             if not child_radical:
                 nonrad_tally[key] += 1
-                if even:
-                    check(nonrad, pair_nonrad, False, child, child_stab)
+                if even and broken_law(lat, pair_nonrad, False, child, child_stab):
+                    nonrad.failed_even += 1
+                    nonrad.first_failure = nonrad.first_failure or child
             walk(child, child_stab, child_radical, 1 - even, succ[nxt])
 
     ids, succ, _ = complex_family(lat.rs, ComplexKind.CI)
-    walk((), full, True, 0, ids)
+    walk((), lat.full_simple_bits, True, 0, ids)
     return nonab, nonrad
 
 

@@ -17,6 +17,7 @@ from nilchain import (
     enumerate_ideals,
     is_abelian,
     is_radical_member,
+    membership,
     normalizer_type,
 )
 from nilchain.cli import parse_chain_literal, run
@@ -160,6 +161,32 @@ def test_pair_domain_error(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "abelian" in err
+
+
+def test_pair_output_matches_golden():
+    # Both formats of ``pair``, byte for byte, on every domain chain of A2 and
+    # G2 for both pairings and on two B3 chains.  Each record keeps the JSON
+    # document; its bytes are ``json.dumps(doc, indent=2)`` and a newline.
+    lines = (Path(__file__).parent / "data" / "pair_golden.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    cases = [
+        [family, rank, complex_, str(chain)]
+        for family, rank in (("A", 2), ("G", 2))
+        for complex_, outside in (("ci-minus-ca", ComplexKind.CA), ("ci-minus-cr", ComplexKind.CR))
+        for chain in enumerate_chains(system(family, rank), ComplexKind.CI)
+        if not membership(outside, chain)
+    ]
+    cases += [
+        ["B", 3, "ci-minus-ca", "{0, 1, 2, 3, 4, 5, 6, 7, 8}"],
+        ["B", 3, "ci-minus-cr", "{8}"],
+    ]
+    assert [record["case"] for record in records] == cases
+    for record in records:
+        family, rank, complex_, chain = record["case"]
+        argv = ("pair", "--type", family, "--rank", str(rank), "--complex", complex_, "--chain", chain)
+        expected_json = json.dumps(record["json"], indent=2) + "\n"
+        assert invoke(*argv, "--format", "json") == (record["exit"], expected_json), chain
+        assert invoke(*argv) == (record["exit"], record["human"]), chain
 
 
 def test_unknown_family_is_usage_error(capsys):

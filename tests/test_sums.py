@@ -1,4 +1,5 @@
 import io
+import json
 import re
 from collections import Counter
 
@@ -23,10 +24,11 @@ from nilchain import (
     pair_nonradical,
     verify,
 )
-from nilchain import chains, cli, ideals, sums
+from nilchain import chains, cli, ideals, pairings, sums
 from nilchain.chains import complex_family, count_index_chains, tally_chains
 from nilchain.cli import parse_chain_literal
 from nilchain.ideals import IdealLattice, ideal_lattice
+from nilchain.pairings import LAWS
 from nilchain.sums import _InvolutionStats
 
 from conftest import ACCEPTANCE_SYSTEMS, system
@@ -358,6 +360,25 @@ def test_partner_that_is_no_chain_fails(monkeypatch):
     assert not report.verdicts["nonabelian_involution"]
     assert report.verdicts["nonradical_involution"]
     assert _counterexample(rs, report, "nonabelian") == target
+    # ``nilchain pair`` shows the partner instead of raising on it.
+    monkeypatch.setattr(pairings, "pair_nonabelian_ids", repeating)
+    code, text = _pair_command("nonabelian", target)
+    lat = ideal_lattice(rs)
+    assert code == 1
+    assert f"  paired: [{' < '.join(str(lat.ideal(i)) for i in repeated)}]\n" in text
+    assert text.endswith(
+        "  FAIL  involution\n  ok  length_change_is_one\n  FAIL  stabilizer_preserved\n"
+        "  ok  same_domain\n  ok  top_preserved\n"
+    )
+
+
+def _pair_command(name, chain, *options):
+    """Exit status and output of ``nilchain pair`` on a B3 chain."""
+    out = io.StringIO()
+    complex_ = "ci-minus-ca" if name == "nonabelian" else "ci-minus-cr"
+    argv = ["pair", "--type", "B", "--rank", "3", "--complex", complex_, "--chain", str(chain)]
+    code = cli.run(argv + list(options), out=out)
+    return code, out.getvalue()
 
 
 def _itself(rs, child, outside):
@@ -401,15 +422,15 @@ def _partner_with_another_stabilizer(rs, child, outside):
     )
 
 
-@pytest.mark.parametrize(
-    "name, outside, partner_of",
+LAW_BREAKING_PARTNERS = pytest.mark.parametrize(
+    "name, outside, partner_of, law",
     [
-        ("nonabelian", ComplexKind.CA, _itself),
-        ("nonradical", ComplexKind.CR, _itself),
-        ("nonabelian", ComplexKind.CA, _partner_inside),
-        ("nonradical", ComplexKind.CR, _partner_inside),
-        ("nonabelian", ComplexKind.CA, _partner_with_another_stabilizer),
-        ("nonradical", ComplexKind.CR, _partner_with_another_stabilizer),
+        ("nonabelian", ComplexKind.CA, _itself, "length_change_is_one"),
+        ("nonradical", ComplexKind.CR, _itself, "length_change_is_one"),
+        ("nonabelian", ComplexKind.CA, _partner_inside, "same_domain"),
+        ("nonradical", ComplexKind.CR, _partner_inside, "same_domain"),
+        ("nonabelian", ComplexKind.CA, _partner_with_another_stabilizer, "stabilizer_preserved"),
+        ("nonradical", ComplexKind.CR, _partner_with_another_stabilizer, "stabilizer_preserved"),
     ],
     ids=[
         "nonabelian-pairs-to-itself",
@@ -420,15 +441,10 @@ def _partner_with_another_stabilizer(rs, child, outside):
         "nonradical-partner-has-another-stabilizer",
     ],
 )
-def test_partner_breaking_one_law_fails(monkeypatch, name, outside, partner_of):
-    # Each partner breaks one law and keeps the others: it is a chain that
-    # pairs back and, but for the last two cases, has the child's
-    # stabilizer.  A pairing that fixes a chain keeps its length; a
-    # nonabelian partner from CA has an abelian top, so not the child's; a
-    # nonradical partner from CR has only radical members.  A partner with
-    # another stabilizer is in the domain, so it is also the real partner of
-    # a later chain, which then fails to pair back; the child fails first.
-    rs = system("B", 3)
+
+
+def _swapped_pairing(rs, name, outside, partner_of):
+    """A length-2 chain, its law-breaking partner, and the pairing with the two swapped in."""
     lat = ideal_lattice(rs)
     child, partner = next(
         (c, p)
@@ -447,6 +463,21 @@ def test_partner_breaking_one_law_fails(monkeypatch, name, outside, partner_of):
             return child_ids
         return real(lat, ids)
 
+    return child, partner, swapped
+
+
+@LAW_BREAKING_PARTNERS
+def test_partner_breaking_one_law_fails(monkeypatch, name, outside, partner_of, law):
+    # Each partner breaks one law and keeps the others: it is a chain that
+    # pairs back and, but for the last two cases, has the child's
+    # stabilizer.  A pairing that fixes a chain keeps its length; a
+    # nonabelian partner from CA has an abelian top, so not the child's; a
+    # nonradical partner from CR has only radical members.  A partner with
+    # another stabilizer is in the domain, so it is also the real partner of
+    # a later chain, which then fails to pair back; the child fails first.
+    rs = system("B", 3)
+    lat = ideal_lattice(rs)
+    child, _, swapped = _swapped_pairing(rs, name, outside, partner_of)
     monkeypatch.setattr(sums, f"pair_{name}_ids", swapped)
     report = verify(rs)
     other = "nonradical" if name == "nonabelian" else "nonabelian"
@@ -454,6 +485,32 @@ def test_partner_breaking_one_law_fails(monkeypatch, name, outside, partner_of):
     assert report.verdicts[f"{other}_involution"]
     assert _counterexample(rs, report, name) == child
     assert f"{other} pairing" not in report.notes
+    child_ids = tuple(lat.id_of(n) for n in child.members)
+    stab = sum(1 << (k - 1) for k in chain_stabilizer_type(child))
+    assert pairings.broken_law(lat, swapped, name == "nonabelian", child_ids, stab) == law
+
+
+@LAW_BREAKING_PARTNERS
+def test_pair_command_names_the_walks_failure(monkeypatch, name, outside, partner_of, law):
+    # Given the walk's counterexample, ``nilchain pair`` exits 1, shows the
+    # partner, and fails the broken law and every law tested after it.
+    rs = system("B", 3)
+    child, partner, swapped = _swapped_pairing(rs, name, outside, partner_of)
+    monkeypatch.setattr(sums, f"pair_{name}_ids", swapped)
+    monkeypatch.setattr(pairings, f"pair_{name}_ids", swapped)
+    counterexample = _counterexample(rs, verify(rs), name)
+    code, text = _pair_command(name, counterexample, "--format", "json")
+    doc = json.loads(text)
+    assert code == 1
+    assert doc["input"] == [list(n.root_indices()) for n in child.members]
+    assert doc["paired"] == [list(n.root_indices()) for n in partner.members]
+    assert [key for key in LAWS if not doc["laws"][key]] == list(LAWS[LAWS.index(law) :])
+    if name == "nonabelian":
+        assert doc["laws"]["top_preserved"] == doc["laws"]["same_domain"]
+    code, text = _pair_command(name, counterexample)
+    assert code == 1
+    assert f"  paired: {partner}\n" in text
+    assert f"  FAIL  {law}\n" in text
 
 
 def test_each_domain_chain_is_paired_once(monkeypatch):
