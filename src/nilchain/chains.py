@@ -238,14 +238,21 @@ def tally_chains(
     return signed, lengths
 
 
-def count_index_chains(
+def chains_starting_at(
     family_ids: tuple[int, ...], succ_within: tuple[tuple[int, ...], ...]
-) -> int:
-    """Exact number of chains (including the empty one), by downward recursion."""
+) -> dict[int, int]:
+    """Per member, the number of chains whose smallest member it is, by downward recursion."""
     starting: dict[int, int] = {}
     for i in reversed(family_ids):
         starting[i] = 1 + sum(starting[j] for j in succ_within[i])
-    return 1 + sum(starting.values())
+    return starting
+
+
+def count_index_chains(
+    family_ids: tuple[int, ...], succ_within: tuple[tuple[int, ...], ...]
+) -> int:
+    """Exact number of chains (including the empty one)."""
+    return 1 + sum(chains_starting_at(family_ids, succ_within).values())
 
 
 def complex_family(

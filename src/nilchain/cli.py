@@ -110,7 +110,8 @@ def parse_chain_literal(rs: RootSystem, text: str) -> Chain:
             while True:
                 skip_ws()
                 start = pos
-                while pos < n and s[pos].isdigit():
+                # ASCII digits only: ``str.isdigit`` also takes '²' and '٨'.
+                while pos < n and "0" <= s[pos] <= "9":
                     pos += 1
                 if pos == start:
                     raise fail("a root index")

@@ -11,16 +11,33 @@ All arithmetic is exact (Python integers), so verdicts carry no tolerance.
 
 from __future__ import annotations
 
+import marshal
+import os
 import time
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from dataclasses import astuple, dataclass
+from typing import Iterable, Mapping, NoReturn, Optional
 
-from .chains import ComplexKind, complex_family, guarded_family, tally_chains
+from .chains import (
+    ComplexKind,
+    chains_starting_at,
+    complex_family,
+    guarded_family,
+    tally_chains,
+)
 from .ideals import IdealLattice, ParabolicType, _type_of_bits, ideal_lattice
 from .pairings import broken_law, pair_nonabelian_ids, pair_nonradical_ids
 from .root_system import RootSystem
 
 DEFAULT_MAX_CHAINS = 10**8
+
+# The CI walk is split across forked workers from this many chains on (see
+# ``_walk_ci``).  A walk this long takes over 0.5 s (2-vCPU machine, Python
+# 3.11), so a fork and its reap, about 2.5 ms, cost under 1% of it.
+FORK_MIN_CHAINS = 10**5
+
+# A part of the CI chain tree: a chain, and whether every chain extending it
+# comes with it.
+Part = tuple[tuple[int, ...], bool]
 
 
 class SumVector:
@@ -199,6 +216,12 @@ class _InvolutionStats:
     failed_even: int = 0
     first_failure: tuple[int, ...] = ()
 
+    def extend(self, later: "_InvolutionStats") -> None:
+        """Add the stats of a later stretch of the same walk."""
+        self.tally = [a + b for a, b in zip(self.tally, later.tally)]
+        self.failed_even += later.failed_even
+        self.first_failure = self.first_failure or later.first_failure
+
     @property
     def even(self) -> int:
         return sum(self.tally[1::2])
@@ -236,8 +259,10 @@ class _InvolutionStats:
         return ""
 
 
-def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
-    """Walk every CI chain once and test both pairings; the caller guards the total.
+def _walk_parts(
+    lat: IdealLattice, succ: tuple[tuple[int, ...], ...], parts: Iterable[Part]
+) -> tuple[_InvolutionStats, _InvolutionStats]:
+    """Walk the CI chains of ``parts`` in order and test both pairings on them.
 
     Each domain's chains are tallied per stabilizer bitmask and parity, and
     ``broken_law`` tests the even-length ones (see there why that suffices).
@@ -253,27 +278,166 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
     nonab_tally = nonab.tally
     nonrad_tally = nonrad.tally
 
-    def walk(chain: tuple[int, ...], stab: int, all_radical: bool, even: int, nexts) -> None:
-        # ``even`` is 1 when the children of ``chain`` have even length.
-        for nxt in nexts:
-            child = chain + (nxt,)
-            child_stab = stab & norm_bits[nxt]
-            child_radical = all_radical and radical[nxt]
-            key = child_stab << 1 | even
-            if not abelian[nxt]:
-                nonab_tally[key] += 1
-                if even and broken_law(lat, pair_nonab, True, child, child_stab):
-                    nonab.failed_even += 1
-                    nonab.first_failure = nonab.first_failure or child
-            if not child_radical:
-                nonrad_tally[key] += 1
-                if even and broken_law(lat, pair_nonrad, False, child, child_stab):
-                    nonrad.failed_even += 1
-                    nonrad.first_failure = nonrad.first_failure or child
-            walk(child, child_stab, child_radical, 1 - even, succ[nxt])
+    def walker(succ: tuple[tuple[int, ...], ...]):
+        def walk(chain: tuple[int, ...], stab: int, all_radical: bool, even: int, nexts) -> None:
+            # ``even`` is 1 when the children of ``chain`` have even length.
+            for nxt in nexts:
+                child = chain + (nxt,)
+                child_stab = stab & norm_bits[nxt]
+                child_radical = all_radical and radical[nxt]
+                key = child_stab << 1 | even
+                if not abelian[nxt]:
+                    nonab_tally[key] += 1
+                    if even and broken_law(lat, pair_nonab, True, child, child_stab):
+                        nonab.failed_even += 1
+                        nonab.first_failure = nonab.first_failure or child
+                if not child_radical:
+                    nonrad_tally[key] += 1
+                    if even and broken_law(lat, pair_nonrad, False, child, child_stab):
+                        nonrad.failed_even += 1
+                        nonrad.first_failure = nonrad.first_failure or child
+                walk(child, child_stab, child_radical, 1 - even, succ[nxt])
 
+        return walk
+
+    # A part without its extensions is walked over a table with no successors.
+    walks = {True: walker(succ), False: walker(((),) * len(succ))}
+    for prefix, whole in parts:
+        stab, all_radical = lat.full_simple_bits, True
+        for i in prefix[:-1]:
+            stab &= norm_bits[i]
+            all_radical = all_radical and radical[i]
+        walks[whole](prefix[:-1], stab, all_radical, 1 - len(prefix) % 2, prefix[-1:])
+    return nonab, nonrad
+
+
+def _ci_runs(
+    ids: tuple[int, ...],
+    succ: tuple[tuple[int, ...], ...],
+    starting: Mapping[int, int],
+    workers: int,
+) -> list[list[Part]]:
+    """The CI chain tree cut into at most ``workers`` runs of parts, in walk order.
+
+    A part ``(prefix, whole)`` is the chain ``prefix``, with every chain
+    extending it if ``whole``.  Those are the chains starting at its last
+    member, ``starting`` of it.  Each first-level part holding more than a
+    quarter of one worker's share is replaced by its prefix alone and the
+    parts of its one-member extensions, and so on down.  Runs are then
+    handed out in order, each ending at the first part that takes the
+    chains walked so far to its multiple of a share.
+    """
+    total = sum(starting.values())
+    limit = total // (4 * workers)
+    parts: list[tuple[Part, int]] = []
+
+    def cut(prefix: tuple[int, ...], nexts: tuple[int, ...]) -> None:
+        for i in nexts:
+            part = prefix + (i,)
+            if starting[i] <= limit or not succ[i]:
+                parts.append(((part, True), starting[i]))
+            else:
+                parts.append(((part, False), 1))
+                cut(part, succ[i])
+
+    cut((), ids)
+    runs: list[list[Part]] = []
+    run: list[Part] = []
+    done = 0
+    for part, chains in parts:
+        run.append(part)
+        done += chains
+        if done * workers >= total * (len(runs) + 1):
+            runs.append(run)
+            run = []
+    return runs
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _work(
+    lat: IdealLattice, succ: tuple[tuple[int, ...], ...], run: list[Part], write: int
+) -> NoReturn:
+    """In a forked worker: walk ``run``, send both stats through ``write``, and exit.
+
+    The exit status is 0 once the stats are sent, else 1.  ``os._exit``
+    runs no ``finally``, atexit handler or buffer flush of the parent's.
+    """
+    status = 1
+    try:
+        stats = _walk_parts(lat, succ, run)
+        with open(write, "wb") as pipe:
+            pipe.write(marshal.dumps([astuple(s) for s in stats]))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received(data: bytes) -> Optional[list[_InvolutionStats]]:
+    """A worker's two stats from its bytes, or ``None`` if they are cut short."""
+    try:
+        return [_InvolutionStats(*fields) for fields in marshal.loads(data)]
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
+def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
+    """Walk every CI chain once and test both pairings; the caller guards the total.
+
+    With ``FORK_MIN_CHAINS`` chains or more, ``os.fork`` and more than one
+    usable CPU, the walk is split into runs (see ``_ci_runs``), one per
+    CPU.  The first run is walked here and each other one in a forked
+    worker.  The stats are added up in walk order, so the first failure is
+    the serial walk's.  The run of a worker that exits non-zero or sends a
+    short result is walked again here, so an error raised is the serial
+    walk's own.  No worker outlives the call: each is reaped, and killed
+    first if this process raises.
+    """
     ids, succ, _ = complex_family(lat.rs, ComplexKind.CI)
-    walk((), lat.full_simple_bits, True, 0, ids)
+    starting = chains_starting_at(ids, succ)
+    workers = _worker_count()
+    if sum(starting.values()) < FORK_MIN_CHAINS or workers < 2 or not hasattr(os, "fork"):
+        return _walk_parts(lat, succ, [((i,), True) for i in ids])
+    runs = _ci_runs(ids, succ, starting, workers)
+    pids: list[int] = []
+    pipes = []
+    try:
+        for run in runs[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if not pid:
+                _work(lat, succ, run, write)
+            pids.append(pid)
+            os.close(write)
+            pipes.append(open(read, "rb"))
+        nonab, nonrad = _walk_parts(lat, succ, runs[0])
+        for run, pipe in zip(runs[1:], pipes):
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            later = _received(data) if status == 0 else None
+            if later is None:
+                later = _walk_parts(lat, succ, run)
+            nonab.extend(later[0])
+            nonrad.extend(later[1])
+    except BaseException:
+        import signal  # not loaded at startup, and needed only here
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
     return nonab, nonrad
 
 

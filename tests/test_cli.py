@@ -20,7 +20,7 @@ from nilchain import (
     membership,
     normalizer_type,
 )
-from nilchain.cli import parse_chain_literal, run
+from nilchain.cli import UsageError, parse_chain_literal, run
 
 from conftest import system
 
@@ -253,6 +253,13 @@ def test_parse_chain_literal_forms():
         parse_chain_literal(rs, "{1 2}")
     with pytest.raises(ValueError, match="position"):
         parse_chain_literal(rs, "<{2}")
+    # Only ASCII digits make a root index, and anything else is a usage error.
+    for literal in ("{²}", "{٨}"):
+        found = f"position 1: expected a root index, found '{literal[1]}'"
+        with pytest.raises(UsageError, match=found):
+            parse_chain_literal(rs, literal)
+        argv = ["pair", "--type", "A", "--rank", "2", "--complex", "ci-minus-ca", "--chain", literal]
+        assert invoke(*argv) == (2, "")
     with pytest.raises(ValueError, match="not upper-closed"):
         parse_chain_literal(rs, "{0}")
     with pytest.raises(ValueError, match="strictly increase"):

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -25,7 +27,13 @@ from nilchain import (
     verify,
 )
 from nilchain import chains, cli, ideals, pairings, sums
-from nilchain.chains import complex_family, count_index_chains, tally_chains
+from nilchain.chains import (
+    chains_starting_at,
+    complex_family,
+    count_index_chains,
+    iter_index_chains,
+    tally_chains,
+)
 from nilchain.cli import parse_chain_literal
 from nilchain.ideals import IdealLattice, ideal_lattice
 from nilchain.pairings import LAWS
@@ -322,6 +330,34 @@ def _counterexample(rs, report, name):
     return parse_chain_literal(rs, match.group(1))
 
 
+def _walk_mode(monkeypatch, workers):
+    """Split every CI walk across ``workers`` forked workers; 1 walks in-process."""
+    monkeypatch.setattr(sums, "FORK_MIN_CHAINS", 0)
+    monkeypatch.setattr(sums, "_worker_count", lambda: workers)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _verify_each_way(monkeypatch, rs):
+    """``verify(rs)`` in-process and split across 2 and 3 forked workers.
+
+    The reports must be identical but for ``elapsed_ms``, and no worker may
+    be left; the in-process report is returned.
+    """
+    reports = []
+    for workers in (1, 2, 3):
+        with monkeypatch.context() as m:
+            _walk_mode(m, workers)
+            reports.append(verify(rs))
+        _assert_no_child_left()
+    docs = [{k: v for k, v in r.to_dict().items() if k != "elapsed_ms"} for r in reports]
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+    return reports[0]
+
+
 def test_pairing_wrong_on_one_odd_chain_fails(monkeypatch):
     # Odd chains are reached only as partners of even ones; a wrong value on
     # one of them shows as its even partner failing to pair back.
@@ -333,7 +369,7 @@ def test_pairing_wrong_on_one_odd_chain_fails(monkeypatch):
         return ids if ids == target_ids else real(lat, ids)
 
     monkeypatch.setattr(sums, "pair_nonradical_ids", wrong_on_target)
-    report = verify(rs)
+    report = _verify_each_way(monkeypatch, rs)
     assert not report.verdicts["nonradical_involution"]
     assert report.verdicts["nonabelian_involution"]
     assert pair_nonradical(_counterexample(rs, report, "nonradical")) == target
@@ -356,7 +392,7 @@ def test_partner_that_is_no_chain_fails(monkeypatch):
         return real(lat, ids)
 
     monkeypatch.setattr(sums, "pair_nonabelian_ids", repeating)
-    report = verify(rs)
+    report = _verify_each_way(monkeypatch, rs)
     assert not report.verdicts["nonabelian_involution"]
     assert report.verdicts["nonradical_involution"]
     assert _counterexample(rs, report, "nonabelian") == target
@@ -479,7 +515,7 @@ def test_partner_breaking_one_law_fails(monkeypatch, name, outside, partner_of, 
     lat = ideal_lattice(rs)
     child, _, swapped = _swapped_pairing(rs, name, outside, partner_of)
     monkeypatch.setattr(sums, f"pair_{name}_ids", swapped)
-    report = verify(rs)
+    report = _verify_each_way(monkeypatch, rs)
     other = "nonradical" if name == "nonabelian" else "nonabelian"
     assert not report.verdicts[f"{name}_involution"]
     assert report.verdicts[f"{other}_involution"]
@@ -527,6 +563,100 @@ def test_each_domain_chain_is_paired_once(monkeypatch):
     report = verify(rs)
     assert report.ok
     assert dict(calls) == report.involution_checks
+
+
+def test_forked_verify_matches_in_process_on_a4(monkeypatch):
+    # A4 is the smallest acceptance-sized type over ``FORK_MIN_CHAINS``.
+    rs = system("A", 4)
+    assert count_index_chains(*complex_family(rs, ComplexKind.CI)[:2]) >= sums.FORK_MIN_CHAINS
+    assert _verify_each_way(monkeypatch, rs).ok
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_runs_cover_every_ci_chain_once_in_walk_order(family, rank, workers):
+    rs = system(family, rank)
+    ids, succ, _ = complex_family(rs, ComplexKind.CI)
+    starting = chains_starting_at(ids, succ)
+    runs = sums._ci_runs(ids, succ, starting, workers)
+    assert len(runs) == workers and all(runs)
+    parts = [part for run in runs for part in run]
+    sizes = [starting[prefix[-1]] if whole else 1 for prefix, whole in parts]
+    total = count_index_chains(ids, succ) - 1  # the empty chain is in no part
+    assert sum(sizes) == total
+    assert max(sizes) <= max(1, total // (4 * workers))
+    # Walk order is the order of prefixes, and a part with its extensions
+    # is followed by none of them, so the parts' chains are disjoint.
+    for (prefix, whole), (later, _) in zip(parts, parts[1:]):
+        assert prefix < later
+        assert not (whole and later[: len(prefix)] == prefix)
+    if total < 10**4:
+        walked = [
+            prefix + chain
+            for prefix, whole in parts
+            for chain in iter_index_chains(succ[prefix[-1]] if whole else (), succ)
+        ]
+        assert walked == list(iter_index_chains(ids, succ))[1:]
+
+
+def test_forked_walk_pairs_outside_this_process(monkeypatch):
+    # Under forking, this process pairs only the chains of the first run.
+    rs = system("B", 3)
+    calls = Counter()
+    for name in ("nonabelian", "nonradical"):
+        real = getattr(sums, f"pair_{name}_ids")
+
+        def counting(lat, ids, real=real, name=name):
+            calls[name] += 1
+            return real(lat, ids)
+
+        monkeypatch.setattr(sums, f"pair_{name}_ids", counting)
+    _walk_mode(monkeypatch, 2)
+    report = verify(rs)
+    _assert_no_child_left()
+    assert report.ok
+    for name, checked in report.involution_checks.items():
+        assert 0 < calls[name] < checked
+
+
+@pytest.mark.parametrize("workers, run", [(2, 0), (2, 1), (3, 1)])
+def test_walk_error_is_raised_as_in_process_and_no_worker_is_left(monkeypatch, workers, run):
+    # The pairing raises on one even-length chain of one run: in this
+    # process for run 0, else in a worker, whose run is walked again here.
+    # Partners are odd, so only the walk itself pairs that chain.  Chains
+    # are walked in the order of their id tuples.  When this process
+    # raises, each worker stalls once, so only killing them ends the call early.
+    rs = system("B", 3)
+    lat = ideal_lattice(rs)
+    ids, succ, _ = complex_family(rs, ComplexKind.CI)
+    runs = sums._ci_runs(ids, succ, chains_starting_at(ids, succ), workers)
+    target = next(
+        c
+        for c in iter_index_chains(ids, succ)
+        if c >= runs[run][0][0] and len(c) % 2 == 0 and not lat.abelian[c[-1]]
+    )
+    assert run + 1 == workers or target < runs[run + 1][0][0]
+    real = sums.pair_nonabelian_ids
+    here = os.getpid()
+    stalled = []
+
+    def raising(lat, ids):
+        if ids == target:
+            raise ArithmeticError(ids)
+        if run == 0 and os.getpid() != here and not stalled:
+            stalled.append(ids)
+            time.sleep(40)
+        return real(lat, ids)
+
+    monkeypatch.setattr(sums, "pair_nonabelian_ids", raising)
+    with pytest.raises(ArithmeticError):
+        verify(rs)
+    _walk_mode(monkeypatch, workers)
+    start = time.monotonic()
+    with pytest.raises(ArithmeticError):
+        verify(rs)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_unequal_parity_counts_fail_with_a_note():
