@@ -3,7 +3,7 @@
 Exit status: 0 on success (verify: all verdicts true), 1 when an identity or
 property fails, 2 on usage errors (bad flags, malformed chain literals,
 chains outside a pairing's domain, enumeration over the chain guard, a
-lattice or containment table over its size budget).
+lattice or pairwise containment work over its size budget).
 """
 
 from __future__ import annotations
@@ -379,6 +379,9 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
             file=out,
         )
         print(f"  elapsed: {report.elapsed_ms:.1f} ms", file=out)
+        if not report.ok:
+            # The notes name the first counterexample of each failed law.
+            print(f"  notes: {report.notes}", file=out)
         print("VERIFIED" if report.ok else "FAILED", file=out)
     return 0 if report.ok else 1
 

@@ -13,23 +13,25 @@ simple root spaces the parabolic contains.
 
 The per-ideal predicates are lookups into the cached ``IdealLattice`` of
 their system, so the first call for a type builds its lattice.  Lattices
-and containment tables over a stated size are refused before anything is
-built (``SizeLimitExceeded``).
+over a stated size, and containment tests pair by pair over a stated
+lattice size, are refused before anything is built (``SizeLimitExceeded``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .root_system import RootSystem, exponents
 
 ParabolicType = frozenset[int]
 
 # The most ideals a lattice is built for: A11 (208,012) fits, A12 (742,900)
-# does not.  A11's lattice without its containment table reached 188 MB.
+# does not.  A11's lattice reached 188 MB.
 MAX_IDEALS = 250_000
-# The largest containment table built, by its estimate of n*n/16 bytes for
-# n ideals: E8 (39 MB) and A10 (216 MB) fit, A11 (2.7 GB) does not.
+# The largest lattice whose ideals are compared pair by pair (successor
+# lists, ``nilchain pair``), measured as n*n/16 for n ideals, the bytes of a
+# containment bitset table, as the refusal message says.  E8 (39 M) and
+# A10 (216 M) fit, A11 (2.7 G) does not.
 MAX_CONTAINMENT_BYTES = 512 * 2**20
 
 
@@ -224,28 +226,6 @@ def _ideal_masks(rs: RootSystem) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _containers(
-    rs: RootSystem, masks: tuple[int, ...], index: dict[int, int]
-) -> tuple[int, ...]:
-    """Per ideal id, the bitset of ids of the ideals containing it (itself included).
-
-    An ideal strictly inside another lies inside one of its covers: the ideal
-    plus one root outside it whose upward simple steps are all in it.  Covers
-    are larger, hence later in canonical order, so one pass in reverse order
-    ORs their finished bitsets together.
-    """
-    ups = _up_masks(rs)
-    out = [0] * len(masks)
-    for i in reversed(range(len(masks))):
-        mask = masks[i]
-        bits = 1 << i
-        for r, up in enumerate(ups):
-            if not (mask >> r) & 1 and mask & up == up:
-                bits |= out[index[mask | 1 << r]]
-        out[i] = bits
-    return tuple(out)
-
-
 def _derived_and_normalizers(
     rs: RootSystem, masks: tuple[int, ...], index: dict[int, int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -363,13 +343,11 @@ class IdealLattice:
     """Per-ideal tables over the full family of ideals of one root system.
 
     Everything chain enumeration and pairing needs, keyed by canonical ideal
-    index: abelian and radical flags, the derived ideal, the nilradical of
-    the normalizer, normalizer types as bitmasks over simple positions, and
-    the containment relation as one bitset of container ids per ideal.
-    Containment takes about ``n*n/16`` bytes for ``n`` ideals, and only
-    chain walks and counts, the pairings and the CR/CP check read it, so
-    ``containers`` is built on its first read, after
-    ``MAX_CONTAINMENT_BYTES`` is checked, and then kept.
+    index: the root mask, abelian and radical flags, the derived ideal, the
+    nilradical of the normalizer, and normalizer types as bitmasks over
+    simple positions.  Containment is read from the masks: ideal ``a`` lies
+    in ``b`` exactly when ``masks[a] & ~masks[b] == 0``, and a strictly
+    larger ideal comes later in canonical order.
     Index 0 is always the zero ideal.  ``nil_id`` maps each subset of simple
     positions, as a bitmask, to the id of its parabolic's nilradical.  The
     object predicates above are lookups into these tables.
@@ -400,7 +378,6 @@ class IdealLattice:
         "radical_closure",
         "normalizer_bits",
         "nil_id",
-        "_container_table",
         "nonzero_ids",
         "abelian_ids",
         "radical_ids",
@@ -417,27 +394,10 @@ class IdealLattice:
         self.nil_id = tuple(nil_id)
         self.radical_closure = tuple(nil_id[bits] for bits in self.normalizer_bits)
         self.radical = tuple(c == i for i, c in enumerate(self.radical_closure))
-        self._container_table: Optional[tuple[int, ...]] = None
         self.nonzero_ids = tuple(range(1, len(self.masks)))
         self.abelian_ids = tuple(i for i in self.nonzero_ids if self.abelian[i])
         self.radical_ids = tuple(i for i in self.nonzero_ids if self.radical[i])
         self.full_simple_bits = (1 << rs.rank) - 1
-
-    # A property, not ``__getattr__``: with ``__getattr__`` defined, CPython
-    # does not specialize the loads of any slot of the class, and the
-    # pairing walk reads several of them per chain.
-    @property
-    def containers(self) -> tuple[int, ...]:
-        """Per ideal id, the bitset of ids of the ideals containing it; built on first read."""
-        table = self._container_table
-        if table is None:
-            _check_containment_budget(self.rs)
-            table = self._container_table = _containers(self.rs, self.masks, self.index)
-        return table
-
-    @containers.setter
-    def containers(self, table: tuple[int, ...]) -> None:
-        self._container_table = table
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -468,11 +428,11 @@ def ideal_lattice(rs: RootSystem) -> IdealLattice:
 
 
 def _containment_lattice(rs: RootSystem) -> IdealLattice:
-    """``ideal_lattice(rs)`` for a caller that reads ``containers``.
+    """``ideal_lattice(rs)`` for a caller that compares ideals pair by pair.
 
     A lattice not yet cached is built only after the containment budget is
-    checked, so a table that would be refused costs no lattice first.  A
-    cached lattice skips the check: ``containers`` checks on its first read.
+    checked, so work that would be refused costs no lattice first.  A
+    cached lattice skips the check: ``family_successors`` checks it again.
     """
     lat = _LATTICE_CACHE.get(rs.spec)
     if lat is None:

@@ -36,9 +36,10 @@ class PairingDomainError(ValueError):
 def pair_nonabelian_ids(lat: IdealLattice, ids: tuple[int, ...]) -> tuple[int, ...]:
     """Index-level nonabelian pairing; ``ids`` must be a chain in its domain."""
     d = lat.derived[ids[-1]]
-    containers = lat.containers
+    masks = lat.masks
+    derived = masks[d]
     pos = 0
-    while not (containers[d] >> ids[pos]) & 1:
+    while derived & ~masks[ids[pos]]:
         pos += 1
     below = ids[pos - 1] if pos else 0
     tilde = lat.union_id(below, d)
@@ -54,9 +55,10 @@ def pair_nonradical_ids(lat: IdealLattice, ids: tuple[int, ...]) -> tuple[int, .
     while radical[ids[pos]]:
         pos += 1
     tilde = lat.radical_closure[ids[pos]]
-    containers = lat.containers[tilde]
+    masks = lat.masks
+    closure = masks[tilde]
     j = len(ids) - 1
-    while (containers >> ids[j]) & 1:
+    while not closure & ~masks[ids[j]]:
         j -= 1
     merged = lat.union_id(tilde, ids[j])
     if j + 1 < len(ids) and merged == ids[j + 1]:
@@ -90,14 +92,15 @@ def broken_law(
             return "same_domain"
     elif all(map(lat.radical.__getitem__, partner)):
         return "same_domain"
-    containers, norm_bits = lat.containers, lat.normalizer_bits
+    masks, norm_bits = lat.masks, lat.normalizer_bits
     bits = lat.full_simple_bits
-    below = 0  # the zero ideal's id
+    below = 0  # the zero ideal's mask
     for i in partner:
-        if i == below or not containers[below] >> i & 1:
+        mask = masks[i]
+        if mask == below or below & ~mask:
             return "stabilizer_preserved"
         bits &= norm_bits[i]
-        below = i
+        below = mask
     if bits != stab:
         return "stabilizer_preserved"
     return "involution" if pair(lat, partner) != ids else None

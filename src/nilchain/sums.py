@@ -15,15 +15,9 @@ import marshal
 import os
 import time
 from dataclasses import astuple, dataclass
-from typing import Iterable, Mapping, NoReturn, Optional
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional
 
-from .chains import (
-    ComplexKind,
-    chains_starting_at,
-    complex_family,
-    guarded_family,
-    tally_chains,
-)
+from .chains import ComplexKind, complex_family, guarded_family, tally_chains
 from .ideals import IdealLattice, ParabolicType, _type_of_bits, ideal_lattice
 from .pairings import broken_law, pair_nonabelian_ids, pair_nonradical_ids
 from .root_system import RootSystem
@@ -149,12 +143,20 @@ def _sum_vector(signed: Mapping[int, int]) -> SumVector:
     return SumVector({_type_of_bits(bits): c for bits, c in signed.items()})
 
 
-def _summarize(
-    rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]
-) -> tuple[ComplexSummary, dict[int, dict[int, int]]]:
+class _Tally(NamedTuple):
+    """A complex's summary, its family (see ``complex_family``), and the
+    signed and length counts per member (see ``tally_chains``)."""
+
+    summary: ComplexSummary
+    ids: tuple[int, ...]
+    succ: tuple[tuple[int, ...], ...]
+    signed: dict[int, dict[int, int]]
+    lengths: dict[int, dict[int, int]]
+
+
+def _summarize(rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]) -> _Tally:
     """Total, length histogram and alternating sum of a complex, counted not walked.
 
-    Also returns the tally's signed counts per member (see ``tally_chains``).
     ``ChainLimitExceeded`` is raised before the count if the chain total
     exceeds ``max_chains``.
     """
@@ -168,14 +170,14 @@ def _summarize(
         for length, c in lengths[i].items():
             by_length[length] = by_length.get(length, 0) + c
     summary = ComplexSummary(kind, sum(by_length.values()), by_length, _sum_vector(sums))
-    return summary, signed
+    return _Tally(summary, ids, succ, signed, lengths)
 
 
 def alternating_sum(
     rs: RootSystem, kind: ComplexKind, *, max_chains: Optional[int] = None
 ) -> SumVector:
     """Sum of ``(-1)^length * e(stabilizer type)`` over every chain of a complex."""
-    return _summarize(rs, kind, max_chains)[0].sum
+    return _summarize(rs, kind, max_chains).summary.sum
 
 
 def closed_form_sum(rs: RootSystem) -> SumVector:
@@ -387,10 +389,11 @@ def _received(data: bytes) -> Optional[list[_InvolutionStats]]:
         return None
 
 
-def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
+def _walk_ci(lat: IdealLattice, ci: _Tally) -> tuple[_InvolutionStats, _InvolutionStats]:
     """Walk every CI chain once and test both pairings; the caller guards the total.
 
-    With ``FORK_MIN_CHAINS`` chains or more, ``os.fork`` and more than one
+    The chains are those of the CI tally ``ci`` (see ``_summarize``).  With
+    ``FORK_MIN_CHAINS`` chains or more, ``os.fork`` and more than one
     usable CPU, the walk is split into runs (see ``_ci_runs``), one per
     CPU.  The first run is walked here and each other one in a forked
     worker.  The stats are added up in walk order, so the first failure is
@@ -399,8 +402,8 @@ def _walk_ci(lat: IdealLattice) -> tuple[_InvolutionStats, _InvolutionStats]:
     walk's own.  No worker outlives the call: each is reaped, and killed
     first if this process raises.
     """
-    ids, succ, _ = complex_family(lat.rs, ComplexKind.CI)
-    starting = chains_starting_at(ids, succ)
+    ids, succ = ci.ids, ci.succ
+    starting = {i: sum(ci.lengths[i].values()) for i in ids}
     workers = _worker_count()
     if sum(starting.values()) < FORK_MIN_CHAINS or workers < 2 or not hasattr(os, "fork"):
         return _walk_parts(lat, succ, [((i,), True) for i in ids])
@@ -463,10 +466,10 @@ def _cr_cp_failure(lat: IdealLattice) -> str:
     unmatched = set(lat.radical_ids).symmetric_difference(nil_id[:full])
     if unmatched:
         return f" The CR/CP correspondence fails at ideal {lat.ideal(min(unmatched))}."
-    containers = lat.containers
+    nil_masks = [lat.masks[nil_id[j]] for j in range(full)]
     for j in range(full):
         for k in range(full):
-            if j != k and (j & ~k == 0) != bool(containers[nil_id[k]] >> nil_id[j] & 1):
+            if j != k and (j & ~k == 0) != (nil_masks[k] & ~nil_masks[j] == 0):
                 return (
                     " The CR/CP correspondence fails at the pair of types "
                     f"{sorted(_type_of_bits(j))} and {sorted(_type_of_bits(k))}."
@@ -491,10 +494,10 @@ def verify(
     start = time.perf_counter()
     # CI first: its guard can refuse before the lattice is built.
     tallies = {kind: _summarize(rs, kind, max_chains) for kind in ComplexKind}
-    summaries = {kind: summary for kind, (summary, _) in tallies.items()}
+    summaries = {kind: tally.summary for kind, tally in tallies.items()}
     sums = {kind: summary.sum for kind, summary in summaries.items()}
     lat = ideal_lattice(rs)
-    nonab, nonrad = _walk_ci(lat)
+    nonab, nonrad = _walk_ci(lat, tallies[ComplexKind.CI])
     closed = closed_form_sum(rs)
     nonab_complement = _sum_vector(nonab.complement_sum)
     nonrad_complement = _sum_vector(nonrad.complement_sum)
@@ -517,7 +520,7 @@ def verify(
         "nonabelian_complement_cancels": nonab_cancels,
         "nonradical_complement_cancels": nonrad_cancels,
         "cr_cp_bijection": not cr_cp_failure,
-        "boolean_interval": _intervals_hold(rs.rank, tallies[ComplexKind.CP][1]),
+        "boolean_interval": _intervals_hold(rs.rank, tallies[ComplexKind.CP].signed),
     }
     verdicts["five_way_identity"] = (
         verdicts["sum_ci_matches_closed_form"]

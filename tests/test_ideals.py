@@ -26,15 +26,8 @@ from nilchain import (
     sum_ideals,
 )
 from nilchain import cli, ideals
-from nilchain.chains import (
-    ComplexKind,
-    chain_stabilizer_type,
-    cp_to_cr,
-    cr_to_cp,
-    enumerate_chains,
-    membership,
-)
-from nilchain.ideals import ideal_count
+from nilchain.chains import ComplexKind, complex_family
+from nilchain.ideals import _containment_lattice, ideal_count
 from nilchain.root_system import exponents
 from nilchain.sums import _cr_cp_failure
 
@@ -323,10 +316,13 @@ def test_lattice_tables_match_object_predicates(family, rank):
     assert lat.masks == tuple(n.mask for n in ideals)
     for bits, subset in simple_subsets(rank):
         assert lat.masks[lat.nil_id[bits]] == mask_of(nilradical_by_vectors(roots, subset))
+    # Successor lists against strict inclusion of root-vector sets.
+    vectors = [frozenset(roots[r] for r in members_of(n)) for n in ideals]
+    for kind in (ComplexKind.CI, ComplexKind.CA, ComplexKind.CR):
+        ids, succ, _ = complex_family(rs, kind)
+        for i in ids:
+            assert succ[i] == tuple(j for j in ids if vectors[i] < vectors[j]), (kind, i)
     for i, n in enumerate(ideals):
-        assert lat.containers[i] == sum(
-            1 << j for j, m in enumerate(ideals) if n.mask | m.mask == m.mask
-        )
         members = members_of(n)
         derived = derived_by_vectors(roots, members)
         norm = normalizer_by_vectors(roots, members)
@@ -370,25 +366,13 @@ def test_exponents_are_the_dual_partition_of_root_heights(family, ranks):
             assert sum(e >= k for e in exps) == heights.count(k), (family, rank, k)
 
 
-def _refuse_construction(monkeypatch):
-    """Make any ideal enumeration or containment build fail loudly."""
-
+def test_size_gates_refuse_before_construction(monkeypatch, capsys):
+    # Any ideal enumeration fails loudly, and no lattice is cached.
     def built(*args):
         raise AssertionError("construction started")
 
     monkeypatch.setattr(ideals, "_up_masks", built)
-    monkeypatch.setattr(ideals, "_containers", built)
-
-
-def _bare_lattice(rs):
-    """A lattice with none of its tables built, so only the size gates run."""
-    lat = object.__new__(IdealLattice)
-    lat.rs, lat.masks, lat.index, lat.containers = rs, (), {}, None
-    return lat
-
-
-def test_size_gates_refuse_before_construction(monkeypatch, capsys):
-    _refuse_construction(monkeypatch)
+    monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
     systems = {
         (f, r): build_root_system(RootSystemSpec(f, r), allow_large=True)
         for f, r in [("A", 10), ("A", 11), ("A", 12), ("E", 8)]
@@ -408,9 +392,22 @@ def test_size_gates_refuse_before_construction(monkeypatch, capsys):
     # Containment budget: E8 and A10 reach construction, A11 is refused.
     for spec in [("E", 8), ("A", 10)]:
         with pytest.raises(AssertionError, match="construction started"):
-            _bare_lattice(systems[spec]).containers
+            _containment_lattice(systems[spec])
     with pytest.raises(SizeLimitExceeded, match=r"A11 \(208,012 ideals\).*2,704,312,009 bytes.*536,870,912"):
-        _bare_lattice(systems["A", 11]).containers
+        _containment_lattice(systems["A", 11])
+
+
+def test_successors_of_a_cached_lattice_are_refused_over_budget(monkeypatch):
+    # A cached lattice skips the check in ``_containment_lattice``; the
+    # successor build checks the budget itself, before any pairwise test.
+    rs = system("B", 3)
+    ideal_lattice(rs)
+    monkeypatch.setattr(ideals, "MAX_CONTAINMENT_BYTES", 20 * 20 // 16 - 1)
+    for kind in (ComplexKind.CI, ComplexKind.CA, ComplexKind.CR):
+        with pytest.raises(SizeLimitExceeded, match=r"the containment table of B3 \(20 ideals\) needs about 25 bytes"):
+            complex_family(rs, kind)
+    monkeypatch.undo()
+    assert complex_family(rs, ComplexKind.CI)[1]
 
 
 def test_chain_commands_on_a11_stop_before_the_lattice(monkeypatch, capsys):
@@ -431,38 +428,6 @@ def test_chain_commands_on_a11_stop_before_the_lattice(monkeypatch, capsys):
         code = cli.run([*argv, "--type", "A", "--rank", "11", "--allow-large"], out=io.StringIO())
         assert code == 2, argv
         assert "the containment table of A11 (208,012 ideals)" in capsys.readouterr().err
-
-
-def _containers_unset(lat) -> bool:
-    # Reads the slot behind the property, so the lazy build is not triggered.
-    return lat._container_table is None
-
-
-def test_containment_is_built_on_first_read_only(monkeypatch):
-    monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
-    monkeypatch.setattr(ideals, "_containers", lambda *args: pytest.fail("containment built"))
-    e6 = system("E", 6)
-    assert _containers_unset(IdealLattice(e6))
-    assert cli.run(["ideals", "--type", "E", "--rank", "6", "--format", "json"], out=io.StringIO()) == 0
-    assert _containers_unset(ideal_lattice(e6))
-    rs = system("B", 3)
-    for n in enumerate_ideals(rs):
-        is_abelian(n), derived_ideal(n), normalizer_type(n), is_radical_member(n)
-    for _, subset in simple_subsets(rs.rank):
-        nilradical_of_parabolic(rs, subset)
-    # CP chains come from subsets alone; their images are the CR chains.
-    for pchain in enumerate_chains(rs, ComplexKind.CP):
-        chain = cp_to_cr(pchain)
-        membership(ComplexKind.CA, chain), chain_stabilizer_type(chain)
-        assert cr_to_cp(chain) == pchain
-    lat = ideal_lattice(rs)
-    assert _containers_unset(lat)
-    monkeypatch.undo()
-    ideals_b3 = enumerate_ideals(rs)
-    assert lat.containers == tuple(
-        sum(1 << j for j, m in enumerate(ideals_b3) if n.mask & ~m.mask == 0) for n in ideals_b3
-    )
-    assert lat.containers is lat.containers
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

@@ -219,7 +219,6 @@ def test_ci_guard_refuses_before_any_table_is_built(monkeypatch, capsys, a2):
 
     monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
     monkeypatch.setattr(ideals, "_ideal_masks", built)
-    monkeypatch.setattr(ideals, "_containers", built)
     monkeypatch.setattr(chains, "family_successors", built)
     e7 = build_root_system(RootSystemSpec("E", 7), allow_large=True)
     with pytest.raises(ChainLimitExceeded, match="at least") as exc:
@@ -408,6 +407,44 @@ def test_partner_that_is_no_chain_fails(monkeypatch):
     )
 
 
+def test_partner_out_of_order_fails(monkeypatch):
+    # The partner holds the members of a CI chain ``(a, s, b)`` as
+    # ``(s, a, b)``: it has the right length, top and stabilizer and pairs
+    # back, and only the containment test of ``broken_law`` rejects it.
+    rs = system("B", 3)
+    lat = ideal_lattice(rs)
+    ids, succ, _ = complex_family(rs, ComplexKind.CI)
+
+    def stab(chain):
+        bits = lat.full_simple_bits
+        for i in chain:
+            bits &= lat.normalizer_bits[i]
+        return bits
+
+    target_ids, partner_ids = next(
+        ((a, b), (s, a, b))
+        for a, s, b in (c for c in iter_index_chains(ids, succ) if len(c) == 3)
+        if not lat.abelian[b] and stab((a, s, b)) == stab((a, b))
+    )
+    real = sums.pair_nonabelian_ids
+
+    def out_of_order(lat, ids):
+        if ids == target_ids:
+            return partner_ids
+        if ids == partner_ids:
+            return target_ids
+        return real(lat, ids)
+
+    monkeypatch.setattr(sums, "pair_nonabelian_ids", out_of_order)
+    report = verify(rs)
+    assert not report.verdicts["nonabelian_involution"]
+    assert report.verdicts["nonradical_involution"]
+    assert _counterexample(rs, report, "nonabelian").members == tuple(map(lat.ideal, target_ids))
+    assert pairings.broken_law(lat, out_of_order, True, target_ids, stab(target_ids)) == (
+        "stabilizer_preserved"
+    )
+
+
 def _pair_command(name, chain, *options):
     """Exit status and output of ``nilchain pair`` on a B3 chain."""
     out = io.StringIO()
@@ -547,6 +584,24 @@ def test_pair_command_names_the_walks_failure(monkeypatch, name, outside, partne
     assert code == 1
     assert f"  paired: {partner}\n" in text
     assert f"  FAIL  {law}\n" in text
+
+
+@LAW_BREAKING_PARTNERS
+def test_failed_human_verify_prints_the_counterexample(monkeypatch, name, outside, partner_of, law):
+    # The human report prints the notes before FAILED; the chain literal
+    # they name, given to ``nilchain pair``, exits 1 there.
+    rs = system("B", 3)
+    child, _, swapped = _swapped_pairing(rs, name, outside, partner_of)
+    monkeypatch.setattr(sums, f"pair_{name}_ids", swapped)
+    monkeypatch.setattr(pairings, f"pair_{name}_ids", swapped)
+    out = io.StringIO()
+    assert cli.run(["verify", "--type", "B", "--rank", "3"], out=out) == 1
+    *_, notes, last = out.getvalue().splitlines()
+    assert last == "FAILED"
+    match = re.fullmatch(rf"  notes: .* The {name} pairing breaks a law at (\[[^\]]*\])\.", notes)
+    assert match, notes
+    assert parse_chain_literal(rs, match.group(1)) == child
+    assert _pair_command(name, match.group(1))[0] == 1
 
 
 def test_each_domain_chain_is_paired_once(monkeypatch):
@@ -691,12 +746,6 @@ def _drop_radical_member(lat):
     lat.radical_ids = lat.radical_ids[1:]
 
 
-def _drop_container(lat):
-    containers = list(lat.containers)
-    containers[lat.nil_id[3]] &= ~(1 << lat.nil_id[1])
-    lat.containers = tuple(containers)
-
-
 @pytest.mark.parametrize(
     "breaks, named",
     [
@@ -704,14 +753,12 @@ def _drop_container(lat):
         (_repeat_nil_id, "at type [1]"),
         (_flip_normalizer_bit, "at type [1]"),
         (_drop_radical_member, "at ideal {2, 4, 6, 7, 8}"),
-        (_drop_container, "at the pair of types [1] and [1, 2]"),
     ],
     ids=[
         "swap_nil_ids",
         "repeat_nil_id",
         "flip_normalizer_bit",
         "drop_radical_member",
-        "drop_container",
     ],
 )
 def test_cr_cp_table_fault_is_recorded_not_raised(monkeypatch, breaks, named):
@@ -726,19 +773,3 @@ def test_cr_cp_table_fault_is_recorded_not_raised(monkeypatch, breaks, named):
     assert f" The CR/CP correspondence fails {named}." in report.notes
     monkeypatch.undo()
     assert verify(rs).verdicts["cr_cp_bijection"]
-
-
-def test_false_containment_is_recorded_not_raised(monkeypatch):
-    # The walk follows the faulty table into a sequence that is no chain;
-    # the note still names it.
-    rs = system("B", 3)
-    lat = IdealLattice(rs)
-    assert lat.masks[3] & ~lat.masks[4]
-    containers = list(lat.containers)
-    containers[3] |= 1 << 4
-    lat.containers = tuple(containers)
-    monkeypatch.setitem(ideals._LATTICE_CACHE, rs.spec, lat)
-    report = verify(rs)
-    assert not report.verdicts["nonabelian_involution"]
-    match = re.search(r"The nonabelian pairing breaks a law at (\[[^\]]*\])\.", report.notes)
-    assert match and f"{lat.ideal(3)} < {lat.ideal(4)}" in match.group(1)
