@@ -27,12 +27,12 @@ from .ideals import (
     Ideal,
     IdealLattice,
     ParabolicType,
+    SizeLimitExceeded,
     _bit_positions,
-    _check_containment_budget,
     _check_parabolic_type,
-    _containment_lattice,
     _type_of_bits,
     full_parabolic_type,
+    ideal_count,
     ideal_lattice,
     is_abelian,
     is_radical_member,
@@ -40,6 +40,11 @@ from .ideals import (
     normalizer_type,
 )
 from .root_system import RootSystem
+
+# The most member pairs a successor table may consider.  CI through A7 and
+# D7, CA and CR of every type under ``MAX_IDEALS`` (A11: 2,094,081) and CP
+# through rank 13 fit; CI of A8, B7, C7, D8 and E7 and CP from rank 14 do not.
+MAX_SUCCESSOR_PAIRS = 2**22
 
 
 class ComplexKind(enum.Enum):
@@ -203,10 +208,9 @@ def family_successors(
 
     ``family_ids`` ascend.  A strictly larger ideal comes later in canonical
     order, so each member's mask is tested against the later members' only.
-    The tests grow as the square of the family, so ``SizeLimitExceeded`` is
-    raised first if the lattice is over ``MAX_CONTAINMENT_BYTES``.
+    The tests grow as the square of the family; ``complex_family`` checks
+    their number against ``MAX_SUCCESSOR_PAIRS`` before any table is built.
     """
-    _check_containment_budget(lat.rs)
     masks = lat.masks
     table: list[tuple[int, ...]] = [()] * len(masks)
     for pos, i in enumerate(family_ids, 1):
@@ -267,6 +271,21 @@ def count_index_chains(
     return 1 + sum(chains_starting_at(family_ids, succ_within).values())
 
 
+def _successor_pairs(rs: RootSystem, kind: ComplexKind) -> int:
+    """Member pairs a complex's successor table considers, from its type alone.
+
+    ``n`` ideal members give ``n(n-1)/2``: CI has the nonzero ideals, CA the
+    ``2^rank - 1`` nonzero abelian ones (Peterson), CR one per proper subset
+    of simple indices.  CP's pairs ``j < s`` of proper subsets are the
+    ``3^rank`` pairs ``j <= s``, less ``2^rank`` with ``s`` full and
+    ``2^rank`` with ``j = s``, plus the full pair, taken off twice.
+    """
+    if kind is ComplexKind.CP:
+        return 3**rs.rank - 2 ** (rs.rank + 1) + 1
+    n = ideal_count(rs) - 1 if kind is ComplexKind.CI else 2**rs.rank - 1
+    return n * (n - 1) // 2
+
+
 def complex_family(
     rs: RootSystem, kind: ComplexKind
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -276,8 +295,15 @@ def complex_family(
     subsets' bitmasks (bit ``i - 1`` is index ``i``) in canonical order, by
     size and then by elements, and each bitmask is its own bits: the AND
     over an increasing chain of subsets is its smallest member, the
-    stabilizer.
+    stabilizer.  Over ``MAX_SUCCESSOR_PAIRS`` member pairs (``_successor_pairs``),
+    ``SizeLimitExceeded`` is raised first, before any lattice or table.
     """
+    pairs = _successor_pairs(rs, kind)
+    if pairs > MAX_SUCCESSOR_PAIRS:
+        raise SizeLimitExceeded(
+            f"the {kind.name} successor table of {rs.spec} considers {pairs:,} member pairs, "
+            f"over its budget of {MAX_SUCCESSOR_PAIRS:,}"
+        )
     if kind is ComplexKind.CP:
         full = (1 << rs.rank) - 1
         ids = tuple(sorted(range(full), key=lambda j: (j.bit_count(), _bit_positions(j))))
@@ -293,7 +319,7 @@ def complex_family(
                 s = (s + 1) | j
             succ[j] = tuple(sorted(supersets, key=position.__getitem__))
         return ids, tuple(succ), tuple(range(full))
-    lat = _containment_lattice(rs)
+    lat = ideal_lattice(rs)
     if kind is ComplexKind.CI:
         ids = lat.nonzero_ids
     elif kind is ComplexKind.CA:

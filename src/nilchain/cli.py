@@ -3,7 +3,7 @@
 Exit status: 0 on success (verify: all verdicts true), 1 when an identity or
 property fails, 2 on usage errors (bad flags, malformed chain literals,
 chains outside a pairing's domain, enumeration over the chain guard, a
-lattice or pairwise containment work over its size budget).
+lattice or a successor table over its size budget).
 """
 
 from __future__ import annotations

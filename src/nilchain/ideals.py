@@ -12,9 +12,9 @@ a root.  Parabolic types are subsets of ``{1..rank}``, naming which negative
 simple root spaces the parabolic contains.
 
 The per-ideal predicates are lookups into the cached ``IdealLattice`` of
-their system, so the first call for a type builds its lattice.  Lattices
-over a stated size, and containment tests pair by pair over a stated
-lattice size, are refused before anything is built (``SizeLimitExceeded``).
+their system, so the first call for a type builds its lattice.  A lattice
+over ``MAX_IDEALS`` ideals is refused before anything is built
+(``SizeLimitExceeded``; ``chains`` budgets each complex's successor table).
 """
 
 from __future__ import annotations
@@ -28,15 +28,10 @@ ParabolicType = frozenset[int]
 # The most ideals a lattice is built for: A11 (208,012) fits, A12 (742,900)
 # does not.  A11's lattice reached 188 MB.
 MAX_IDEALS = 250_000
-# The largest lattice whose ideals are compared pair by pair (successor
-# lists, ``nilchain pair``), measured as n*n/16 for n ideals, the bytes of a
-# containment bitset table, as the refusal message says.  E8 (39 M) and
-# A10 (216 M) fit, A11 (2.7 G) does not.
-MAX_CONTAINMENT_BYTES = 512 * 2**20
 
 
 class SizeLimitExceeded(RuntimeError):
-    """Raised before building a table whose estimated size is over its budget."""
+    """Raised before building a lattice or a successor table over its budget."""
 
 
 def ideal_count(rs: RootSystem) -> int:
@@ -59,16 +54,6 @@ def _check_ideal_budget(rs: RootSystem) -> None:
     if count > MAX_IDEALS:
         raise SizeLimitExceeded(
             f"{rs.spec} has {count:,} ideals, over the lattice budget of {MAX_IDEALS:,}"
-        )
-
-
-def _check_containment_budget(rs: RootSystem) -> None:
-    count = ideal_count(rs)
-    estimate = count * count // 16
-    if estimate > MAX_CONTAINMENT_BYTES:
-        raise SizeLimitExceeded(
-            f"the containment table of {rs.spec} ({count:,} ideals) needs about "
-            f"{estimate:,} bytes, over its budget of {MAX_CONTAINMENT_BYTES:,}"
         )
 
 
@@ -426,16 +411,3 @@ def ideal_lattice(rs: RootSystem) -> IdealLattice:
         _LATTICE_CACHE[rs.spec] = lat
     return lat
 
-
-def _containment_lattice(rs: RootSystem) -> IdealLattice:
-    """``ideal_lattice(rs)`` for a caller that compares ideals pair by pair.
-
-    A lattice not yet cached is built only after the containment budget is
-    checked, so work that would be refused costs no lattice first.  A
-    cached lattice skips the check: ``family_successors`` checks it again.
-    """
-    lat = _LATTICE_CACHE.get(rs.spec)
-    if lat is None:
-        _check_containment_budget(rs)
-        lat = ideal_lattice(rs)
-    return lat

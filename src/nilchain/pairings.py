@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .chains import Chain
-from .ideals import IdealLattice, _containment_lattice
+from .ideals import IdealLattice, ideal_lattice
 
 # The pairing laws, in the order ``broken_law`` tests them.
 LAWS = ("length_change_is_one", "same_domain", "stabilizer_preserved", "involution")
@@ -112,7 +112,7 @@ def domain_ids(chain: Chain, keeps_top: bool) -> tuple[IdealLattice, tuple[int, 
     if not chain.members:
         name = "nonabelian" if keeps_top else "nonradical"
         raise PairingDomainError(f"the empty chain has no {name} member to pair on")
-    lat = _containment_lattice(chain.rs)
+    lat = ideal_lattice(chain.rs)
     ids = tuple(lat.id_of(n) for n in chain.members)
     if keeps_top and lat.abelian[ids[-1]]:
         raise PairingDomainError(

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import os
 import subprocess
 import sys
@@ -25,9 +26,9 @@ from nilchain import (
     normalizer_type,
     sum_ideals,
 )
-from nilchain import cli, ideals
-from nilchain.chains import ComplexKind, complex_family
-from nilchain.ideals import _containment_lattice, ideal_count
+from nilchain import chains, cli, ideals
+from nilchain.chains import ComplexKind, _successor_pairs, complex_family
+from nilchain.ideals import ideal_count
 from nilchain.root_system import exponents
 from nilchain.sums import _cr_cp_failure
 
@@ -389,51 +390,111 @@ def test_size_gates_refuse_before_construction(monkeypatch, capsys):
     code = cli.run(["ideals", "--type", "A", "--rank", "12", "--allow-large"], out=io.StringIO())
     assert code == 2
     assert "742,900 ideals, over the lattice budget of 250,000" in capsys.readouterr().err
-    # Containment budget: E8 and A10 reach construction, A11 is refused.
-    for spec in [("E", 8), ("A", 10)]:
+    # Successor budget: each complex is refused on its pair count, before
+    # any lattice, or reaches construction.
+    systems.update(
+        ((f, r), build_root_system(RootSystemSpec(f, r), allow_large=True))
+        for f, r in [("E", 7), ("A", 8), ("D", 7), ("A", 7), ("A", 14)]
+    )
+    refused = [(spec, ComplexKind.CI) for spec in [("A", 11), ("A", 10), ("E", 8), ("E", 7), ("A", 8)]]
+    for spec, kind in refused + [(("A", 14), ComplexKind.CP)]:
+        with pytest.raises(SizeLimitExceeded, match=f"the {kind.name} successor table of {systems[spec].spec}"):
+            complex_family(systems[spec], kind)
+    reached = [(("D", 7), ComplexKind.CI), (("A", 7), ComplexKind.CI)]
+    for spec, kind in reached + [(("A", 11), ComplexKind.CA), (("A", 11), ComplexKind.CR)]:
         with pytest.raises(AssertionError, match="construction started"):
-            _containment_lattice(systems[spec])
-    with pytest.raises(SizeLimitExceeded, match=r"A11 \(208,012 ideals\).*2,704,312,009 bytes.*536,870,912"):
-        _containment_lattice(systems["A", 11])
+            complex_family(systems[spec], kind)
+    assert ideals._LATTICE_CACHE == {}
 
 
 def test_successors_of_a_cached_lattice_are_refused_over_budget(monkeypatch):
-    # A cached lattice skips the check in ``_containment_lattice``; the
-    # successor build checks the budget itself, before any pairwise test.
+    # The budget is exact on B3's pair counts, and checked whether or not
+    # the lattice is cached.
     rs = system("B", 3)
     ideal_lattice(rs)
-    monkeypatch.setattr(ideals, "MAX_CONTAINMENT_BYTES", 20 * 20 // 16 - 1)
-    for kind in (ComplexKind.CI, ComplexKind.CA, ComplexKind.CR):
-        with pytest.raises(SizeLimitExceeded, match=r"the containment table of B3 \(20 ideals\) needs about 25 bytes"):
+    for kind, pairs in [(ComplexKind.CI, 171), (ComplexKind.CA, 21), (ComplexKind.CR, 21), (ComplexKind.CP, 12)]:
+        monkeypatch.setattr(chains, "MAX_SUCCESSOR_PAIRS", pairs)
+        assert complex_family(rs, kind)[1]
+        monkeypatch.setattr(chains, "MAX_SUCCESSOR_PAIRS", pairs - 1)
+        message = f"the {kind.name} successor table of B3 considers {pairs} member pairs, over its budget of {pairs - 1}"
+        with pytest.raises(SizeLimitExceeded, match=message):
             complex_family(rs, kind)
-    monkeypatch.undo()
-    assert complex_family(rs, ComplexKind.CI)[1]
+
+
+def test_successor_pairs_are_counted_from_the_type():
+    for spec in ACCEPTANCE_SYSTEMS:
+        rs = system(*spec)
+        for kind in (ComplexKind.CI, ComplexKind.CA, ComplexKind.CR):
+            n = len(complex_family(rs, kind)[0])
+            assert _successor_pairs(rs, kind) == n * (n - 1) // 2, (spec, kind)
+    for rank in range(1, 9):
+        rs = build_root_system(RootSystemSpec("A", rank), allow_large=True)
+        succ = complex_family(rs, ComplexKind.CP)[1]
+        assert _successor_pairs(rs, ComplexKind.CP) == sum(map(len, succ)), rank
 
 
 def test_chain_commands_on_a11_stop_before_the_lattice(monkeypatch, capsys):
-    # A11's lattice fits its budget but its containment table does not, so a
-    # command that walks, counts or pairs chains stops before the lattice.
+    # Each of these is refused on its successor table's pair count, before
+    # the lattice (or, for CP, the subsets) would be built.
     def built(*args):
         raise AssertionError("construction started")
 
     monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
     monkeypatch.setattr(ideals, "_ideal_masks", built)
-    top = build_root_system(RootSystemSpec("A", 11), allow_large=True).num_positive_roots - 1
-    for argv in (
-        ["chains", "--complex", "ca"],
-        ["pair", "--complex", "ci-minus-ca", "--chain", f"{{{top}}}"],
-        ["pair", "--complex", "ci-minus-cr", "--chain", f"{{{top}}}"],
-        ["verify", "--max-chains", str(10**30)],
+    for rank, argv, pairs in (
+        (11, ["verify", "--max-chains", str(10**30)], "CI successor table of A11 considers 21,634,184,055"),
+        (9, ["verify", "--max-chains", str(10**14)], "CI successor table of A9 considers 141,027,615"),
+        (10, ["verify", "--max-chains", str(10**17)], "CI successor table of A10 considers 1,727,808,720"),
+        (14, ["chains", "--complex", "cp"], "CP successor table of A14 considers 4,750,202"),
+        (20, ["chains", "--complex", "cp"], "CP successor table of A20 considers 3,484,687,250"),
     ):
-        code = cli.run([*argv, "--type", "A", "--rank", "11", "--allow-large"], out=io.StringIO())
+        code = cli.run([*argv, "--type", "A", "--rank", str(rank), "--allow-large"], out=io.StringIO())
         assert code == 2, argv
-        assert "the containment table of A11 (208,012 ideals)" in capsys.readouterr().err
+        assert f"{pairs} member pairs, over its budget of 4,194,304" in capsys.readouterr().err
+
+
+def test_pairing_on_a11_builds_the_lattice_once(monkeypatch, capsys):
+    # A11's lattice (208,012 ideals) fits ``MAX_IDEALS``, and a pairing or a
+    # CA family on it fits the successor budget.  The lattice is dropped
+    # afterwards.
+    monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
+    a11 = ["--type", "A", "--rank", "11", "--allow-large"]
+    out = io.StringIO()
+    assert cli.run(["pair", *a11, "--complex", "ci-minus-cr", "--chain", "{65}", "--format", "json"], out=out) == 0
+    doc = json.loads(out.getvalue())
+    # The nilradical of the parabolic stabilizing {65}: the roots outside the
+    # Levi of alpha_2..alpha_10, in the first row or the last column.
+    assert doc["paired"] == [[65], [0, 10, 11, 20, 21, 29, 30, 37, 38, 44, 45, 50, 51, 55, 56, 59, 60, 62, 63, 64, 65]]
+    assert all(doc["laws"].values())
+    full = "{" + ", ".join(map(str, range(66))) + "}"
+    out = io.StringIO()
+    assert cli.run(["pair", *a11, "--complex", "ci-minus-ca", "--chain", full, "--format", "json"], out=out) == 0
+    doc = json.loads(out.getvalue())
+    # The derived ideal of the nilradical: every root of height at least 2.
+    assert doc["paired"] == [list(range(11, 66)), list(range(66))]
+    assert all(doc["laws"].values())
+    assert cli.run(["chains", *a11, "--complex", "ca"], out=io.StringIO()) == 2
+    assert "49042062072532052467712 > 100000000 chains" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4)]
+)
+def test_union_keeps_the_common_normalizer(family, rank):
+    # norm(a | b) contains norm(a) & norm(b): a simple root space that
+    # preserves both ideals preserves their union.
+    lat = ideal_lattice(system(family, rank))
+    bits = lat.normalizer_bits
+    for a in range(len(lat)):
+        for b in range(a + 1, len(lat)):
+            common = bits[a] & bits[b]
+            assert bits[lat.union_id(a, b)] & common == common, (a, b)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_one_predicate_call_on_a10_stays_small():
-    # Without its containment table (about 216 MB by the n*n/16 estimate),
-    # A10's lattice of 58,786 ideals stays well under 100 MB.  The peak is
+    # With no containment table, only masks and per-ideal tables, A10's
+    # lattice of 58,786 ideals stays well under 100 MB.  The peak is
     # VmHWM, not ru_maxrss: on Linux the child's ru_maxrss keeps this
     # process's peak across the exec.
     code = (
