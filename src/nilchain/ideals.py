@@ -26,7 +26,7 @@ from .root_system import RootSystem, exponents
 ParabolicType = frozenset[int]
 
 # The most ideals a lattice is built for: A11 (208,012) fits, A12 (742,900)
-# does not.  A11's lattice reached 188 MB.
+# does not.  A11's lattice builds in about a second at 86 MB max RSS.
 MAX_IDEALS = 250_000
 
 
@@ -152,17 +152,16 @@ def _bit_positions(x: int) -> list[int]:
 
 
 def _validate_upper_closed(rs: RootSystem, mask: int) -> None:
-    steps = rs.simple_step_table
-    for r in range(rs.num_positive_roots):
-        if not (mask >> r) & 1:
-            continue
-        for i in range(1, rs.rank + 1):
-            up = steps.get((r, i))
-            if up is not None and not (mask >> up) & 1:
-                raise ValueError(
-                    f"root set is not upper-closed: contains root {r} but not root {up} "
-                    f"(= root {r} + alpha_{i})"
-                )
+    ups = rs.up_masks
+    for r in _bit_positions(mask):
+        if ups[r] & ~mask:
+            for i in range(1, rs.rank + 1):
+                up = rs.simple_step_table.get((r, i))
+                if up is not None and not (mask >> up) & 1:
+                    raise ValueError(
+                        f"root set is not upper-closed: contains root {r} but not root {up} "
+                        f"(= root {r} + alpha_{i})"
+                    )
 
 
 def _check_same_system(a: Ideal, b: Ideal) -> None:
@@ -180,18 +179,6 @@ def enumerate_ideals(rs: RootSystem) -> tuple[Ideal, ...]:
     return tuple(Ideal._unchecked(rs, m) for m in _ideal_masks(rs))
 
 
-def _up_masks(rs: RootSystem) -> tuple[int, ...]:
-    """For each root, the bitmask of the roots one simple step above it."""
-    return tuple(
-        sum(
-            1 << rs.simple_step_table[(r, i)]
-            for i in range(1, rs.rank + 1)
-            if (r, i) in rs.simple_step_table
-        )
-        for r in range(rs.num_positive_roots)
-    )
-
-
 def _ideal_masks(rs: RootSystem) -> tuple[int, ...]:
     """All ideal masks, in canonical order.
 
@@ -202,12 +189,12 @@ def _ideal_masks(rs: RootSystem) -> tuple[int, ...]:
     raised first if the system has more than ``MAX_IDEALS`` ideals.
     """
     _check_ideal_budget(rs)
-    ups = _up_masks(rs)
     found = [0]
     for r in reversed(range(rs.num_positive_roots)):
-        up, bit = ups[r], 1 << r
+        up, bit = rs.up_masks[r], 1 << r
         found += [mk | bit for mk in found if mk & up == up]
-    found.sort(key=lambda mk: (mk.bit_count(), mk))
+    found.sort()
+    found.sort(key=int.bit_count)  # stable: by size, then by mask
     return tuple(found)
 
 
@@ -216,41 +203,51 @@ def _derived_and_normalizers(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per ideal id, the id of its derived ideal and its normalizer bits.
 
-    Both go over covers, as the ``IdealLattice`` docstring explains: ``r``
+    Both go over covers, as the ``IdealLattice`` docstring derives: ``r``
     is the lowest-index root of ``t`` (roots are sorted by height), and
-    ``s = t - {r}``.  Besides ``derived``, each ideal carries ``low[i]``,
-    the roots ``c`` with ``c + alpha_i`` in it, so that
-    ``low[i](t) = low[i](s) | {r - alpha_i}``.  Simple position ``i`` is in
-    the normalizer exactly when ``alpha_i`` is not in ``t`` and ``low[i](t)``
-    lies inside ``t``: no step ``(c, c + alpha_i)`` leaves the ideal going
-    down.
+    ``s = t - {r}``.  ``contributions[r]`` maps ``t & partners[r]`` to what
+    ``r`` adds to the derived ideal, and ``escape`` holds the packed lanes
+    that ``blocked`` reads as normalizer bits.
     """
-    m, rank = rs.num_positive_roots, rs.rank
+    m, rank, count = rs.num_positive_roots, rs.rank, len(masks)
     sums: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    partners = [0] * m
     for (a, b), c in rs.addition_table.items():
         sums[a].append((1 << b, 1 << c))
-    down = [[0] * rank for _ in range(m)]
+        partners[a] |= 1 << b
+    contributions: list[dict[int, int]] = [{} for _ in range(m)]
+    width = m + 1
+    spread = sum(1 << (i * width) for i in range(rank))
+    ones, carry = ((1 << m) - 1) * spread, (1 << m) * spread
+    keep = [~((1 << r) * spread) for r in range(m)]
+    down = [0] * m
     for (c, i), up in rs.simple_step_table.items():
-        down[up][i - 1] = 1 << c
-    simple_bits = [1 << rs.simple_root_index(i) for i in range(1, rank + 1)]
-    positions = range(rank)
-    derived_masks = [0] * len(masks)
-    lows = [[0] * rank] * len(masks)  # the zero ideal's; the others are replaced
-    normalizer_bits = [(1 << rank) - 1] * len(masks)
-    for t in range(1, len(masks)):
+        down[up] |= 1 << (c + (i - 1) * width)
+    for i in range(rank):
+        a = rs.simple_root_index(i + 1)
+        down[a] |= 1 << (a + i * width)
+    full = (1 << rank) - 1
+    blocked = {0: full}
+    for i in range(rank):
+        lane = 1 << (m + i * width)
+        blocked.update([(k | lane, v ^ (1 << i)) for k, v in blocked.items()])
+    derived_masks = [0] * count
+    escape = [0] * count
+    normalizer_bits = [full] * count
+    for t in range(1, count):
         mask = masks[t]
         bit = mask & -mask
         r = bit.bit_length() - 1
         s = index[mask ^ bit]
-        d = derived_masks[s]
-        for b, c in sums[r]:
-            if mask & b:
-                d |= c
-        derived_masks[t] = d
-        low = lows[t] = [x | y for x, y in zip(lows[s], down[r])]
-        normalizer_bits[t] = sum(
-            1 << i for i in positions if not (mask & simple_bits[i] or low[i] & ~mask)
-        )
+        key = mask & partners[r]
+        try:
+            new = contributions[r][key]
+        except KeyError:
+            # Distinct partners give distinct sums, so adding the bits ORs them.
+            new = contributions[r][key] = sum(c for b, c in sums[r] if key & b)
+        derived_masks[t] = derived_masks[s] | new
+        e = escape[t] = escape[s] & keep[r] | down[r]
+        normalizer_bits[t] = blocked[(e + ones) & carry]
     return tuple(index[d] for d in derived_masks), tuple(normalizer_bits)
 
 
@@ -345,12 +342,35 @@ class IdealLattice:
 
         derived(t) = derived(s) | {r + b : b in t, r + b a positive root}.
 
-    The normalizer bits follow the same recursion (see
-    ``_derived_and_normalizers``).  There are only ``2^rank`` nilradicals,
-    one per subset of simple positions; each is built once, and an ideal's
-    radical closure is the nilradical of its normalizer bits.  Every derived
-    and nilradical mask is resolved through ``index``, so a mask that is not
-    an ideal raises ``KeyError``.
+    The new part depends only on ``t & partners[r]``, the members ``b`` for
+    which ``r + b`` is a root, so it is worked out once per root and key.
+
+    The normalizer bits follow the same recursion, on one packed int per
+    ideal.  Simple position ``i`` is in the normalizer of ``t`` exactly when
+    ``alpha_i`` is not in ``t`` and no root ``c`` outside ``t`` has
+    ``c + alpha_i`` in ``t``.  With ``m`` positive roots, lane ``i`` of
+    ``escape(t)`` is bits ``i(m+1)`` to ``i(m+1) + m - 1``; bit ``c`` of it
+    is set for each such root ``c``, and bit ``alpha_i`` once ``alpha_i``
+    is in ``t``.  So ``i`` is in the normalizer exactly when lane ``i`` is
+    zero.  Going from ``s`` to ``t``, ``r`` leaves every lane, since it is
+    now in ``t``.  The only root that can join lane ``i`` is ``r - alpha_i``,
+    when that is a root, as its step by ``alpha_i`` lands on ``r``; it is
+    lower than ``r``, a lowest root of ``t``, so it is outside ``t``.  And
+    ``alpha_i`` joins lane ``i`` when ``r = alpha_i``.  With ``down[r]``
+    holding those bits,
+
+        escape(t) = escape(s) & ~(bit r in every lane) | down[r].
+
+    The spare top bit of each lane reads it: adding ``2^m - 1`` to every
+    lane carries into the spare bit exactly when the lane is nonzero, and
+    never into the next lane.  One lookup in a table of ``2^rank`` entries
+    turns those carries into the normalizer bits.
+
+    There are only ``2^rank`` nilradicals, one per subset of simple
+    positions; each is built once, and an ideal's radical closure is the
+    nilradical of its normalizer bits.  Every derived and nilradical mask is
+    resolved through ``index``, so a mask that is not an ideal raises
+    ``KeyError``.
     """
 
     __slots__ = (

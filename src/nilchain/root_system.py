@@ -152,9 +152,12 @@ class RootSystem:
     """The positive roots of a simple type, with addition and step tables.
 
     Immutable after construction.  ``positive_roots`` is the canonical list;
-    ``addition_table`` maps pairs of root indices to the index of their sum
-    whenever that sum is again a root; ``simple_step_table`` maps
-    ``(root index, simple index)`` to the index of ``root + alpha_i``.
+    ``simple_step_table`` maps ``(root index, simple index)`` to the index
+    of ``root + alpha_i``, and ``up_masks[r]`` is the bitmask of the roots
+    one simple step above root ``r``.  ``addition_table`` maps pairs of root
+    indices to the index of their sum whenever that sum is again a root; it
+    compares all pairs of roots, so it is built on first read, and a system
+    whose lattice is never built never pays for it.
     Simple indices are 1-based throughout the public API.
     """
 
@@ -162,8 +165,9 @@ class RootSystem:
         "spec",
         "cartan",
         "positive_roots",
-        "addition_table",
         "simple_step_table",
+        "up_masks",
+        "_addition",
         "_index",
         "_simple_root_indices",
     )
@@ -177,28 +181,31 @@ class RootSystem:
         self.spec = spec
         self.cartan = cartan
         self.positive_roots = positive_roots
-        self._index = {r.coeffs: i for i, r in enumerate(positive_roots)}
+        self._index = index = {r.coeffs: i for i, r in enumerate(positive_roots)}
         self._simple_root_indices = tuple(
             self._index[tuple(1 if j == i else 0 for j in range(spec.rank))]
             for i in range(spec.rank)
         )
-        addition: dict[tuple[int, int], int] = {}
-        for a in range(len(positive_roots)):
-            ca = positive_roots[a].coeffs
-            for b in range(a, len(positive_roots)):
-                cb = positive_roots[b].coeffs
-                s = self._index.get(tuple(x + y for x, y in zip(ca, cb)))
-                if s is not None:
-                    addition[(a, b)] = s
-                    addition[(b, a)] = s
-        self.addition_table = addition
+        self._addition: Optional[dict[tuple[int, int], int]] = None
         steps: dict[tuple[int, int], int] = {}
+        ups = []
         for b, root in enumerate(positive_roots):
+            c = root.coeffs
+            up = 0
             for i in range(spec.rank):
-                s = addition.get((b, self._simple_root_indices[i]))
+                s = index.get(c[:i] + (c[i] + 1,) + c[i + 1 :])
                 if s is not None:
                     steps[(b, i + 1)] = s
+                    up |= 1 << s
+            ups.append(up)
         self.simple_step_table = steps
+        self.up_masks = tuple(ups)
+
+    @property
+    def addition_table(self) -> dict[tuple[int, int], int]:
+        if self._addition is None:
+            self._addition = _addition_table(self.positive_roots)
+        return self._addition
 
     @property
     def rank(self) -> int:
@@ -260,6 +267,26 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.spec}, {len(self.positive_roots)} positive roots)"
+
+
+def _addition_table(positive_roots: tuple[Root, ...]) -> dict[tuple[int, int], int]:
+    """Every pair of root indices whose sum is a root, both ways round.
+
+    Each coefficient vector is packed into one int, a digit per simple root,
+    each digit wide enough to hold the sum of two roots' coefficients; so a
+    vector sum is one integer addition.
+    """
+    width = (2 * max(max(r.coeffs) for r in positive_roots)).bit_length()
+    codes = [sum(c << (k * width) for k, c in enumerate(r.coeffs)) for r in positive_roots]
+    index = {code: i for i, code in enumerate(codes)}
+    addition: dict[tuple[int, int], int] = {}
+    for a, ca in enumerate(codes):
+        for b in range(a, len(codes)):
+            s = index.get(ca + codes[b])
+            if s is not None:
+                addition[(a, b)] = s
+                addition[(b, a)] = s
+    return addition
 
 
 def build_root_system(spec: RootSystemSpec, *, allow_large: bool = False) -> RootSystem:

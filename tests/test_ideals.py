@@ -29,7 +29,7 @@ from nilchain import (
 from nilchain import chains, cli, ideals
 from nilchain.chains import ComplexKind, _successor_pairs, complex_family
 from nilchain.ideals import ideal_count
-from nilchain.root_system import exponents
+from nilchain.root_system import RootSystem, exponents
 from nilchain.sums import _cr_cp_failure
 
 from conftest import ACCEPTANCE_SYSTEMS, system
@@ -269,6 +269,32 @@ def test_constructor_rejects_non_ideals(a2):
         Ideal(a2, [17])
 
 
+@pytest.mark.parametrize(
+    "family,rank,coeff_vectors,message",
+    [
+        ("G", 2, [(1, 0), (0, 1)], "contains root 0 but not root 2 (= root 0 + alpha_1)"),
+        ("G", 2, [(3, 1)], "contains root 4 but not root 5 (= root 4 + alpha_2)"),
+        ("G", 2, [(2, 1), (1, 1), (3, 2)], "contains root 3 but not root 4 (= root 3 + alpha_1)"),
+        ("B", 3, [(0, 1, 0)], "contains root 1 but not root 4 (= root 1 + alpha_1)"),
+        ("B", 3, [(1, 1, 0), (0, 1, 1), (1, 2, 2)], "contains root 3 but not root 6 (= root 3 + alpha_1)"),
+        ("B", 3, [(0, 0, 1), (1, 1, 1), (0, 1, 2), (1, 1, 2), (1, 2, 2)],
+         "contains root 0 but not root 3 (= root 0 + alpha_2)"),
+    ],
+)
+def test_non_ideals_name_the_first_failing_root_and_step(family, rank, coeff_vectors, message):
+    # The first member (by index) with an upward step outside the set, and
+    # its first such simple index.
+    rs = system(family, rank)
+    members = [rs.index_of(c) for c in coeff_vectors]
+    expected = f"root set is not upper-closed: {message}"
+    with pytest.raises(ValueError) as exc:
+        Ideal(rs, members)
+    assert str(exc.value) == expected
+    with pytest.raises(ValueError) as exc:
+        Ideal.from_mask(rs, mask_of(members))
+    assert str(exc.value) == expected
+
+
 def test_ideal_value_semantics(a2):
     n1 = ideal_of(a2, (1, 1))
     n2 = ideal_of(a2, (1, 1))
@@ -323,15 +349,32 @@ def test_lattice_tables_match_object_predicates(family, rank):
         ids, succ, _ = complex_family(rs, kind)
         for i in ids:
             assert succ[i] == tuple(j for j in ids if vectors[i] < vectors[j]), (kind, i)
-    for i, n in enumerate(ideals):
-        members = members_of(n)
-        derived = derived_by_vectors(roots, members)
-        norm = normalizer_by_vectors(roots, members)
-        assert lat.abelian[i] == (not derived)
-        assert lat.radical[i] == radical_by_vectors(roots, members)
-        assert lat.masks[lat.derived[i]] == mask_of(derived)
-        assert lat.masks[lat.radical_closure[i]] == mask_of(nilradical_by_vectors(roots, norm))
-        assert lat.normalizer_bits[i] == sum(1 << (j - 1) for j in norm)
+    for i in range(len(ideals)):
+        check_tables_by_vectors(lat, roots, i)
+
+
+@pytest.mark.parametrize("family,rank", [("E", 7), ("E", 8)])
+def test_lattice_tables_match_vector_oracles_on_a_stride_sample(family, rank):
+    # About 100 ideals of E7 and E8 by a fixed stride, the full nilradical
+    # included: there the packed normalizer lanes span hundreds of bits and
+    # the derived contributions are shared between many ideals.
+    lat = IdealLattice(build_root_system(RootSystemSpec(family, rank), allow_large=True))
+    roots = root_vectors(lat.rs)
+    sample = [*range(0, len(lat), len(lat) // 100), len(lat) - 1]
+    assert lat.masks[sample[-1]] == (1 << lat.rs.num_positive_roots) - 1
+    for i in sample:
+        check_tables_by_vectors(lat, roots, i)
+
+
+def check_tables_by_vectors(lat, roots, i):
+    members = members_of(lat.ideal(i))
+    derived = derived_by_vectors(roots, members)
+    norm = normalizer_by_vectors(roots, members)
+    assert lat.abelian[i] == (not derived)
+    assert lat.radical[i] == radical_by_vectors(roots, members)
+    assert lat.masks[lat.derived[i]] == mask_of(derived)
+    assert lat.masks[lat.radical_closure[i]] == mask_of(nilradical_by_vectors(roots, norm))
+    assert lat.normalizer_bits[i] == sum(1 << (j - 1) for j in norm)
 
 
 @pytest.mark.parametrize("family,rank", ACCEPTANCE_SYSTEMS + [("A", 4)])
@@ -368,11 +411,12 @@ def test_exponents_are_the_dual_partition_of_root_heights(family, ranks):
 
 
 def test_size_gates_refuse_before_construction(monkeypatch, capsys):
-    # Any ideal enumeration fails loudly, and no lattice is cached.
+    # Any ideal enumeration fails loudly, and no lattice is cached: the
+    # enumeration starts by reading the systems' upward steps.
     def built(*args):
         raise AssertionError("construction started")
 
-    monkeypatch.setattr(ideals, "_up_masks", built)
+    monkeypatch.setattr(RootSystem, "up_masks", property(built, lambda rs, value: None))
     monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
     systems = {
         (f, r): build_root_system(RootSystemSpec(f, r), allow_large=True)

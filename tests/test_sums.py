@@ -26,7 +26,7 @@ from nilchain import (
     pair_nonradical,
     verify,
 )
-from nilchain import chains, cli, ideals, pairings, sums
+from nilchain import chains, cli, ideals, pairings, root_system, sums
 from nilchain.chains import (
     chains_starting_at,
     complex_family,
@@ -231,6 +231,26 @@ def test_ci_guard_refuses_before_any_table_is_built(monkeypatch, capsys, a2):
     assert capsys.readouterr().err.startswith(
         f"error: enumeration exceeds the chain guard: at least {2**120} > "
     )
+
+
+def test_ci_guard_refuses_before_the_addition_table(monkeypatch, capsys):
+    # A40 has 820 positive roots; the addition table would compare all
+    # their pairs, and the CI bound needs none of it.
+    def built(*args):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr(root_system, "_addition_table", built)
+    a40 = build_root_system(RootSystemSpec("A", 40), allow_large=True)
+    with pytest.raises(ChainLimitExceeded, match="at least") as exc:
+        verify(a40)
+    assert exc.value.count == 2**820
+    argv = ["verify", "--type", "A", "--rank", "40", "--allow-large"]
+    assert cli.run(argv, out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: enumeration exceeds the chain guard: at least {2**820} > "
+    )
+    with pytest.raises(AssertionError, match="construction started"):
+        a40.add_roots(0, 1)
 
 
 @pytest.mark.parametrize("broken", [False, True])
