@@ -227,31 +227,50 @@ def tally_chains(
     family_ids: tuple[int, ...],
     succ_within: tuple[tuple[int, ...], ...],
     bits: tuple[int, ...],
-) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]]]:
-    """Signed stabilizer counts and length counts of the chains starting at each member.
+    total: Optional[int] = None,
+) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """Signed stabilizer counts of the chains starting at each member, and the length histogram.
 
     For member ``i``, ``signed[i]`` maps a stabilizer bitmask to the sum of
-    ``(-1)^length`` and ``lengths[i]`` maps a length to a count, both over
-    the chains whose smallest member is ``i``.  Such a chain is ``i`` alone
-    or ``i`` under a chain starting at one of its successors, so members are
-    taken from the top down and no chain is visited.  The empty chain is in
-    no member's maps.
+    ``(-1)^length`` over the chains whose smallest member is ``i``.  Such a
+    chain is ``i`` alone or ``i`` under a chain starting at one of its
+    successors, so members are taken from the top down and no chain is
+    visited.  The empty chain is in no member's map.
+
+    The histogram maps each length to its number of chains, the empty one
+    included.  The chains starting at a member are counted by length in one
+    integer, a polynomial in ``2^w``: lane ``k``, the bits from ``k*w`` up,
+    holds the number of length ``k``.  A member's polynomial is 1 (the
+    member alone) plus its successors' polynomials, shifted one lane up, so
+    each member costs one big-int sum, and the histogram is 1 (the empty
+    chain) plus every member's.  Take ``w = total.bit_length()``, where
+    ``total`` is the complex's chain count with the empty chain, counted
+    here unless given.  Every lane of every partial sum is at most the same
+    lane of the histogram, so at most ``total < 2^w``: no lane carries into
+    the next, and every count is exact.
     """
+    if total is None:
+        total = count_index_chains(family_ids, succ_within)
+    w = total.bit_length()
     signed: dict[int, dict[int, int]] = {}
-    lengths: dict[int, dict[int, int]] = {}
+    packed: dict[int, int] = {}
     for i in reversed(family_ids):
         mask = bits[i]
         here_signed = {mask: -1}
-        here_lengths = {1: 1}
-        for j in succ_within[i]:
+        nexts = succ_within[i]
+        for j in nexts:
             for stab, c in signed[j].items():
                 key = stab & mask
                 here_signed[key] = here_signed.get(key, 0) - c
-            for length, c in lengths[j].items():
-                here_lengths[length + 1] = here_lengths.get(length + 1, 0) + c
         signed[i] = here_signed
-        lengths[i] = here_lengths
-    return signed, lengths
+        packed[i] = (1 + sum(map(packed.__getitem__, nexts))) << w
+    lanes = 1 + sum(packed.values())
+    lane = (1 << w) - 1
+    by_length: dict[int, int] = {}
+    while lanes:
+        by_length[len(by_length)] = lanes & lane
+        lanes >>= w
+    return signed, by_length
 
 
 def chains_starting_at(
@@ -260,7 +279,7 @@ def chains_starting_at(
     """Per member, the number of chains whose smallest member it is, by downward recursion."""
     starting: dict[int, int] = {}
     for i in reversed(family_ids):
-        starting[i] = 1 + sum(starting[j] for j in succ_within[i])
+        starting[i] = 1 + sum(map(starting.__getitem__, succ_within[i]))
     return starting
 
 
@@ -331,18 +350,18 @@ def complex_family(
 
 def guarded_family(
     rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """``complex_family``, or ``ChainLimitExceeded`` if the complex has more than ``max_chains`` chains.
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], Optional[int]]:
+    """``complex_family`` and its chain total, or ``ChainLimitExceeded`` past ``max_chains`` chains.
 
     CI is first refused on a lower bound, before any table is built.  With
     ``N`` positive roots, the last ``k`` roots in canonical order form an
     ideal for each ``k`` in ``1..N``: a simple step raises the height, so it
     stays among them.  These ``N`` ideals form one chain, and each of its
     ``2^N`` subsets is a CI chain.  Otherwise the exact total is counted
-    over the family.
+    over the family.  Without a guard the total is not counted, and is ``None``.
     """
     if max_chains is None:
-        return complex_family(rs, kind)
+        return (*complex_family(rs, kind), None)
     bound = 1 << rs.num_positive_roots
     if kind is ComplexKind.CI and bound > max_chains:
         raise ChainLimitExceeded(max_chains, bound, at_least=True)
@@ -350,7 +369,7 @@ def guarded_family(
     total = count_index_chains(ids, succ)
     if total > max_chains:
         raise ChainLimitExceeded(max_chains, total)
-    return ids, succ, bits
+    return ids, succ, bits, total
 
 
 def enumerate_chains(
@@ -364,7 +383,7 @@ def enumerate_chains(
     ``ChainLimitExceeded`` is raised before any chain is emitted (see
     ``guarded_family``).
     """
-    ids, succ, _ = guarded_family(rs, kind, max_chains)
+    ids, succ, _, _ = guarded_family(rs, kind, max_chains)
     # One member object per family member, shared by every chain holding it;
     # ideals carry the caller's ``rs``, so ``Chain`` compares systems by identity.
     if kind is ComplexKind.CP:

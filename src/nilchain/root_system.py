@@ -306,6 +306,9 @@ def build_root_system(spec: RootSystemSpec, *, allow_large: bool = False) -> Roo
             )
     cartan = cartan_matrix(spec)
     rank = spec.rank
+    # A Cartan row has at most four nonzero entries, so each pairing reads
+    # only those, not all ``rank`` coordinates.
+    nonzero = [[(k, a) for k, a in enumerate(row) if a] for row in cartan]
     roots: set[tuple[int, ...]] = set()
     frontier: list[tuple[int, ...]] = []
     for i in range(rank):
@@ -316,14 +319,15 @@ def build_root_system(spec: RootSystemSpec, *, allow_large: bool = False) -> Roo
         fresh: list[tuple[int, ...]] = []
         for b in frontier:
             for i in range(rank):
-                down = list(b)
                 p = 0
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in roots:
-                        break
-                    p += 1
-                pairing = sum(b[k] * cartan[i][k] for k in range(rank))
+                if b[i]:
+                    down = list(b)
+                    while True:
+                        down[i] -= 1
+                        if down[i] < 0 or tuple(down) not in roots:
+                            break
+                        p += 1
+                pairing = sum([b[k] * a for k, a in nonzero[i]])
                 if p - pairing >= 1:
                     up = b[:i] + (b[i] + 1,) + b[i + 1 :]
                     if up not in roots:

@@ -17,7 +17,13 @@ import time
 from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional
 
-from .chains import ComplexKind, complex_family, guarded_family, tally_chains
+from .chains import (
+    ComplexKind,
+    chains_starting_at,
+    complex_family,
+    guarded_family,
+    tally_chains,
+)
 from .ideals import IdealLattice, ParabolicType, _type_of_bits, ideal_lattice
 from .pairings import broken_law, pair_nonabelian_ids, pair_nonradical_ids
 from .root_system import RootSystem
@@ -145,13 +151,12 @@ def _sum_vector(signed: Mapping[int, int]) -> SumVector:
 
 class _Tally(NamedTuple):
     """A complex's summary, its family (see ``complex_family``), and the
-    signed and length counts per member (see ``tally_chains``)."""
+    signed counts per member (see ``tally_chains``)."""
 
     summary: ComplexSummary
     ids: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
     signed: dict[int, dict[int, int]]
-    lengths: dict[int, dict[int, int]]
 
 
 def _summarize(rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]) -> _Tally:
@@ -160,17 +165,14 @@ def _summarize(rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]) -> 
     ``ChainLimitExceeded`` is raised before the count if the chain total
     exceeds ``max_chains``.
     """
-    ids, succ, bits = guarded_family(rs, kind, max_chains)
-    signed, lengths = tally_chains(ids, succ, bits)
+    ids, succ, bits, total = guarded_family(rs, kind, max_chains)
+    signed, by_length = tally_chains(ids, succ, bits, total)
     sums = {(1 << rs.rank) - 1: 1}
-    by_length = {0: 1}
     for i in ids:
         for stab, c in signed[i].items():
             sums[stab] = sums.get(stab, 0) + c
-        for length, c in lengths[i].items():
-            by_length[length] = by_length.get(length, 0) + c
     summary = ComplexSummary(kind, sum(by_length.values()), by_length, _sum_vector(sums))
-    return _Tally(summary, ids, succ, signed, lengths)
+    return _Tally(summary, ids, succ, signed)
 
 
 def alternating_sum(
@@ -403,11 +405,11 @@ def _walk_ci(lat: IdealLattice, ci: _Tally) -> tuple[_InvolutionStats, _Involuti
     first if this process raises.
     """
     ids, succ = ci.ids, ci.succ
-    starting = {i: sum(ci.lengths[i].values()) for i in ids}
     workers = _worker_count()
-    if sum(starting.values()) < FORK_MIN_CHAINS or workers < 2 or not hasattr(os, "fork"):
+    # The empty chain is walked by no part.
+    if ci.summary.total - 1 < FORK_MIN_CHAINS or workers < 2 or not hasattr(os, "fork"):
         return _walk_parts(lat, succ, [((i,), True) for i in ids])
-    runs = _ci_runs(ids, succ, starting, workers)
+    runs = _ci_runs(ids, succ, chains_starting_at(ids, succ), workers)
     pids: list[int] = []
     pipes = []
     try:

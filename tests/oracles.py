@@ -212,6 +212,29 @@ def parabolic_chain_histogram(rank: int) -> dict[int, int]:
     }
 
 
+def length_histogram_by_dicts(
+    family_ids: tuple[int, ...], succ_within: tuple[tuple[int, ...], ...]
+) -> dict[int, int]:
+    """Chains of a family by length, the empty one included, from per-member dicts.
+
+    Going down the family, each member maps a length to the number of
+    chains of that length whose smallest member it is: 1 at length 1, plus
+    each successor's map shifted up by one.  No counts are packed.
+    """
+    lengths: dict[int, dict[int, int]] = {}
+    for i in reversed(family_ids):
+        here = {1: 1}
+        for j in succ_within[i]:
+            for length, c in lengths[j].items():
+                here[length + 1] = here.get(length + 1, 0) + c
+        lengths[i] = here
+    histogram = {0: 1}
+    for counts in lengths.values():
+        for length, c in counts.items():
+            histogram[length] = histogram.get(length, 0) + c
+    return histogram
+
+
 def _basis(dim: int) -> list[tuple[int, ...]]:
     return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
 

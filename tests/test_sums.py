@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import time
@@ -40,7 +41,7 @@ from nilchain.pairings import LAWS
 from nilchain.sums import _InvolutionStats
 
 from conftest import ACCEPTANCE_SYSTEMS, system
-from oracles import parabolic_chain_histogram
+from oracles import length_histogram_by_dicts, parabolic_chain_histogram
 
 S2 = frozenset({1, 2})
 A2_VECTOR = SumVector({S2: 1, frozenset({1}): -1, frozenset({2}): -1, frozenset(): 1})
@@ -260,12 +261,12 @@ def test_verify_tallies_each_complex_once(monkeypatch, a2, broken):
     cp_ids = complex_family(a2, ComplexKind.CP)[0]
     calls = []
 
-    def tally(ids, succ, bits):
+    def tally(ids, succ, bits, total):
         calls.append(ids)
-        signed, lengths = tally_chains(ids, succ, bits)
+        signed, by_length = tally_chains(ids, succ, bits, total)
         if broken and ids == cp_ids:
             signed[ids[0]][ids[0]] += 2
-        return signed, lengths
+        return signed, by_length
 
     monkeypatch.setattr(sums, "tally_chains", tally)
     assert verify(a2).verdicts["boolean_interval"] is not broken
@@ -324,12 +325,65 @@ def test_counted_sums_past_the_stream():
                 alternating_sum(rs, kind, max_chains=total - 1)
             if kind is not ComplexKind.CA:
                 ids, succ, bits = complex_family(rs, kind)
-                by_length = Counter({0: 1})
-                for counts in tally_chains(ids, succ, bits)[1].values():
-                    by_length.update(counts)
-                assert dict(by_length) == histogram, (family, rank, kind)
+                assert tally_chains(ids, succ, bits)[1] == histogram, (family, rank, kind)
     for rank in range(5, 9):
         assert boolean_interval_check(system("A", rank)), rank
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 7, 8, 31, 32, 63, 64, 65])
+def test_packed_histogram_of_a_total_order_and_an_antichain(m):
+    # A total order of m members has 2^m chains, one per subset, so the lane
+    # width sits on a power-of-two boundary and lane k must hold C(m, k).
+    # An antichain has the empty chain and m singletons.
+    ids = tuple(range(m))
+    bits = (0,) * m
+    total_order = tuple(tuple(range(i + 1, m)) for i in ids)
+    assert count_index_chains(ids, total_order) == 2**m
+    binomials = {k: math.comb(m, k) for k in range(m + 1)}
+    for total in (None, 2**m):
+        assert tally_chains(ids, total_order, bits, total)[1] == binomials
+    antichain = ((),) * m
+    assert count_index_chains(ids, antichain) == m + 1
+    expected = {0: 1, 1: m} if m else {0: 1}
+    assert tally_chains(ids, antichain, bits)[1] == expected
+
+
+@pytest.mark.parametrize("family,rank", ACCEPTANCE_SYSTEMS + [("A", 4)])
+def test_packed_histograms_match_per_member_dicts(monkeypatch, family, rank):
+    rs = system(family, rank)
+    counted = []
+    real_count = chains.count_index_chains
+
+    def count(ids, succ):
+        counted.append(ids)
+        return real_count(ids, succ)
+
+    monkeypatch.setattr(chains, "count_index_chains", count)
+    for kind in ComplexKind:
+        ids, succ, bits = complex_family(rs, kind)
+        expected = length_histogram_by_dicts(ids, succ)
+        assert tally_chains(ids, succ, bits)[1] == expected, kind
+        # Under a guard, the tally is given the guard's total, not a recount.
+        del counted[:]
+        summary = sums._summarize(rs, kind, sums.DEFAULT_MAX_CHAINS).summary
+        assert summary.by_length == expected, kind
+        assert len(counted) == 1, kind
+
+
+def test_counted_histograms_of_large_abelian_complexes():
+    # Totals counted by the per-member dicts before lengths were packed.
+    pinned = {
+        ("E", 8): (166_575_131_683_487_744, 36),
+        ("A", 10): (1_505_436_315_984_264_704, 30),
+    }
+    for (family, rank), (total, longest) in pinned.items():
+        rs = build_root_system(RootSystemSpec(family, rank), allow_large=True)
+        ids, succ, bits = complex_family(rs, ComplexKind.CA)
+        by_length = tally_chains(ids, succ, bits)[1]
+        assert sum(by_length.values()) == total, (family, rank)
+        assert max(by_length) == longest and by_length[longest] > 0, (family, rank)
+        if family == "E":
+            assert by_length == length_histogram_by_dicts(ids, succ)
 
 
 def _first_ci_chain(rs, length, outside):
