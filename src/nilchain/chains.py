@@ -58,9 +58,14 @@ class ChainLimitExceeded(RuntimeError):
     """Raised when an enumeration would emit more chains than allowed."""
 
     def __init__(self, limit: int, count: int, *, at_least: bool = False) -> None:
+        try:
+            shown = str(count)
+        except ValueError:  # past Python's int-to-str digit limit
+            k = count.bit_length() - 1
+            shown = f"2^{k}" if count == 1 << k else f"over 2^{k}"
         super().__init__(
             f"enumeration exceeds the chain guard: {'at least ' if at_least else ''}"
-            f"{count} > {limit} chains; raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed"
+            f"{shown} > {limit} chains; raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed"
         )
         self.limit = limit
         self.count = count

@@ -115,7 +115,13 @@ def parse_chain_literal(rs: RootSystem, text: str) -> Chain:
                     pos += 1
                 if pos == start:
                     raise fail("a root index")
-                indices.append(int(s[start:pos]))
+                try:
+                    indices.append(int(s[start:pos]))
+                except ValueError:  # past Python's int-to-str digit limit
+                    raise UsageError(
+                        f"invalid chain member: the {pos - start}-digit root index at position "
+                        f"{offset + start} is out of range for {rs.spec}"
+                    ) from None
                 skip_ws()
                 if pos < n and s[pos] == ",":
                     pos += 1
@@ -161,13 +167,11 @@ def _json_array(items: Sequence[str], indent: str) -> str:
 
 def _cmd_roots(args: argparse.Namespace, out) -> int:
     rs = _build(args)
-    rows = []
-    for i, root in enumerate(rs.positive_roots):
-        simple = ""
-        for k in range(1, rs.rank + 1):
-            if rs.simple_root_index(k) == i:
-                simple = f"alpha_{k}"
-        rows.append((i, root.coeffs, root.height, simple))
+    simple_of = {rs.simple_root_index(k): f"alpha_{k}" for k in range(1, rs.rank + 1)}
+    rows = [
+        (i, root.coeffs, root.height, simple_of.get(i, ""))
+        for i, root in enumerate(rs.positive_roots)
+    ]
     if args.format == "json":
         doc = {
             "type": rs.spec.family,

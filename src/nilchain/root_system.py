@@ -16,7 +16,10 @@ Conventions, fixed once for the whole package:
 Generation uses height induction with root strings: for a known positive
 root ``b`` and simple root ``a``, the sum ``b + a`` is a root exactly when
 ``p - <b, a^vee> >= 1`` where ``p`` is the length of the descending string
-``b, b - a, b - 2a, ...`` inside the root system.
+``b, b - a, b - 2a, ...`` inside the root system.  Each step ``b -> b + a``
+is recorded as it is found, with ``p + 1`` as the string length of
+``b + a``; so the step table comes out of generation, and ``p`` is one
+lookup.
 """
 
 from __future__ import annotations
@@ -41,21 +44,6 @@ _RANK_RANGE = {
 }
 
 
-def classical_positive_root_count(family: str, rank: int) -> int:
-    """Number of positive roots of the given type, by the classical formulas."""
-    if family == "A":
-        return rank * (rank + 1) // 2
-    if family in ("B", "C"):
-        return rank * rank
-    if family == "D":
-        return rank * (rank - 1)
-    if family == "E":
-        return {6: 36, 7: 63, 8: 120}[rank]
-    if family == "F":
-        return 24
-    return 6  # G2
-
-
 _EXCEPTIONAL_EXPONENTS = {
     ("E", 6): (1, 4, 5, 7, 8, 11),
     ("E", 7): (1, 5, 7, 9, 11, 13, 17),
@@ -74,6 +62,11 @@ def exponents(family: str, rank: int) -> tuple[int, ...]:
     if family == "D":
         return tuple(sorted([*range(1, 2 * rank - 2, 2), rank - 1]))
     return _EXCEPTIONAL_EXPONENTS[(family, rank)]
+
+
+def classical_positive_root_count(family: str, rank: int) -> int:
+    """Number of positive roots of the given type: the sum of its exponents."""
+    return sum(exponents(family, rank))
 
 
 @dataclass(frozen=True)
@@ -177,28 +170,20 @@ class RootSystem:
         spec: RootSystemSpec,
         cartan: tuple[tuple[int, ...], ...],
         positive_roots: tuple[Root, ...],
+        simple_step_table: dict[tuple[int, int], int],
     ) -> None:
         self.spec = spec
         self.cartan = cartan
         self.positive_roots = positive_roots
-        self._index = index = {r.coeffs: i for i, r in enumerate(positive_roots)}
-        self._simple_root_indices = tuple(
-            self._index[tuple(1 if j == i else 0 for j in range(spec.rank))]
-            for i in range(spec.rank)
-        )
+        self.simple_step_table = simple_step_table
+        self._index = {r.coeffs: i for i, r in enumerate(positive_roots)}
+        # The simple roots are the height-1 roots, so the first ``rank`` in
+        # canonical order; lexicographic order puts ``alpha_rank`` first.
+        self._simple_root_indices = tuple(reversed(range(spec.rank)))
         self._addition: Optional[dict[tuple[int, int], int]] = None
-        steps: dict[tuple[int, int], int] = {}
-        ups = []
-        for b, root in enumerate(positive_roots):
-            c = root.coeffs
-            up = 0
-            for i in range(spec.rank):
-                s = index.get(c[:i] + (c[i] + 1,) + c[i + 1 :])
-                if s is not None:
-                    steps[(b, i + 1)] = s
-                    up |= 1 << s
-            ups.append(up)
-        self.simple_step_table = steps
+        ups = [0] * len(positive_roots)
+        for (b, _), s in simple_step_table.items():
+            ups[b] |= 1 << s
         self.up_masks = tuple(ups)
 
     @property
@@ -305,38 +290,50 @@ def build_root_system(spec: RootSystemSpec, *, allow_large: bool = False) -> Roo
                 "pass allow_large=True (CLI: --allow-large) to build it anyway"
             )
     cartan = cartan_matrix(spec)
-    rank = spec.rank
+    positive_roots, steps = _generate(cartan)
+    if len(positive_roots) != count:
+        raise AssertionError(
+            f"generated {len(positive_roots)} positive roots for {spec}, expected {count}"
+        )
+    return RootSystem(spec, cartan, positive_roots, steps)
+
+
+def _generate(
+    cartan: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[Root, ...], dict[tuple[int, int], int]]:
+    """The positive roots in canonical order, and their simple-step table.
+
+    ``roots`` grows while it is read, one height after another.  ``ups[b]``
+    lists the steps ``(i, s)`` with ``roots[s] = roots[b] + alpha_i``, and
+    ``strings[s * rank + i - 1]`` is the length of the descending
+    ``alpha_i``-string from ``roots[s]``: one longer than from ``roots[b]``.
+    Every step into a root comes from the height below it, so its strings
+    are complete when it is read.  The generation-time tables die on
+    return, before the system builds its own.
+    """
+    rank = len(cartan)
     # A Cartan row has at most four nonzero entries, so each pairing reads
     # only those, not all ``rank`` coordinates.
     nonzero = [[(k, a) for k, a in enumerate(row) if a] for row in cartan]
-    roots: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = []
-    for i in range(rank):
-        v = tuple(1 if j == i else 0 for j in range(rank))
-        roots.add(v)
-        frontier.append(v)
-    while frontier:
-        fresh: list[tuple[int, ...]] = []
-        for b in frontier:
-            for i in range(rank):
-                p = 0
-                if b[i]:
-                    down = list(b)
-                    while True:
-                        down[i] -= 1
-                        if down[i] < 0 or tuple(down) not in roots:
-                            break
-                        p += 1
-                pairing = sum([b[k] * a for k, a in nonzero[i]])
-                if p - pairing >= 1:
-                    up = b[:i] + (b[i] + 1,) + b[i + 1 :]
-                    if up not in roots:
-                        roots.add(up)
-                        fresh.append(up)
-        frontier = fresh
-    ordered = sorted(roots, key=lambda c: (sum(c), c))
-    if len(ordered) != count:
-        raise AssertionError(
-            f"generated {len(ordered)} positive roots for {spec}, expected {count}"
-        )
-    return RootSystem(spec, cartan, tuple(Root(c, sum(c)) for c in ordered))
+    roots = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    where = {c: k for k, c in enumerate(roots)}
+    ups: list[list[tuple[int, int]]] = []
+    strings: dict[int, int] = {}
+    for b, c in enumerate(roots):
+        here = []
+        for i in range(rank):
+            p = strings.get(b * rank + i, 0)
+            if p - sum([c[k] * a for k, a in nonzero[i]]) >= 1:
+                up = c[:i] + (c[i] + 1,) + c[i + 1 :]
+                s = where.setdefault(up, len(roots))
+                if s == len(roots):
+                    roots.append(up)
+                here.append((i + 1, s))
+                strings[s * rank + i] = p + 1
+        ups.append(here)
+    order = sorted(range(len(roots)), key=lambda k: (sum(roots[k]), roots[k]))
+    canon = [0] * len(roots)
+    for new, old in enumerate(order):
+        canon[old] = new
+    steps = {(new, i): canon[s] for new, old in enumerate(order) for i, s in ups[old]}
+    return tuple(Root(roots[k], sum(roots[k])) for k in order), steps

@@ -6,7 +6,9 @@ ideals come from filtering every subset of the positive system, and the
 rank-4 cross-check enumerates antichains of the componentwise order.  The
 per-ideal predicates work on coefficient vectors alone: a bracket is a sum
 of two member vectors that is again a positive-root vector, and a support
-is the set of nonzero coefficients.  They use no root tables.
+is the set of nonzero coefficients.  They use no root tables.  The
+step-table and root-count references are the package's former derivations,
+kept here to check the ones that replaced them.
 """
 
 from __future__ import annotations
@@ -102,6 +104,40 @@ def positive_roots_by_realization(family: str, rank: int) -> set[tuple[int, ...]
             out.add(tuple(int(c) for c in values))
     out.discard(tuple(0 for _ in range(rank)))
     return out
+
+
+def classical_root_count(family: str, rank: int) -> int:
+    """Number of positive roots, by the classical per-family formulas."""
+    if family == "A":
+        return rank * (rank + 1) // 2
+    if family in ("B", "C"):
+        return rank * rank
+    if family == "D":
+        return rank * (rank - 1)
+    return {("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6}[family, rank]
+
+
+def simple_steps_by_slicing(roots: list[tuple[int, ...]]):
+    """The simple-step table and the up masks, read off the coefficient vectors.
+
+    ``roots`` lists the positive roots' coefficient vectors by index.  For
+    each root and simple index ``i`` (1-based), the vector with its ``i``-th
+    coefficient raised by one is looked up among them.  Returns the table
+    ``{(root, i): step}``, in root-then-``i`` order, and per root the
+    bitmask of its steps.
+    """
+    where = {v: k for k, v in enumerate(roots)}
+    steps: dict[tuple[int, int], int] = {}
+    ups = []
+    for b, c in enumerate(roots):
+        up = 0
+        for i in range(len(c)):
+            s = where.get(c[:i] + (c[i] + 1,) + c[i + 1 :])
+            if s is not None:
+                steps[(b, i + 1)] = s
+                up |= 1 << s
+        ups.append(up)
+    return steps, tuple(ups)
 
 
 def upper_closed_subsets_by_filter(root_vectors: list[tuple[int, ...]]) -> set[frozenset]:

@@ -154,6 +154,22 @@ def test_pair_literal_position_error(capsys):
     assert "position 4" in capsys.readouterr().err
 
 
+def test_pair_literal_index_past_the_digit_limit():
+    # A 5,000-digit index is past Python's int-to-str limit, so it cannot
+    # even be read as an int: it is refused as out of range, as any usage
+    # error, on one line.
+    done = _module_main(
+        "pair", "--type", "A", "--rank", "2", "--complex", "ci-minus-ca",
+        "--chain", "{0, " + "9" * 5000 + "}",
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: invalid chain member: the 5000-digit root index at position 4 "
+        "is out of range for A2\n"
+    )
+
+
 def test_pair_domain_error(capsys):
     code, _ = invoke(
         "pair", "--type", "A", "--rank", "2", "--complex", "ci-minus-ca", "--chain", "{2}",

@@ -8,7 +8,11 @@ from nilchain import (
 )
 
 from conftest import system
-from oracles import positive_roots_by_realization
+from oracles import (
+    classical_root_count,
+    positive_roots_by_realization,
+    simple_steps_by_slicing,
+)
 
 RANK_LE_4 = [
     ("A", 1),
@@ -51,13 +55,36 @@ def test_oracle_equivalence(family, rank):
     assert coeff_set(system(family, rank)) == positive_roots_by_realization(family, rank)
 
 
-@pytest.mark.parametrize(
-    "family,rank",
-    [("A", 5), ("B", 5), ("C", 5), ("D", 5), ("E", 6), ("F", 4), ("G", 2)],
+# Every type the generated tables are checked on against the references.
+TABLE_TYPES = (
+    [("A", n) for n in range(1, 31)]
+    + [("B", n) for n in range(2, 21)]
+    + [("C", n) for n in range(3, 21)]
+    + [("D", n) for n in range(4, 21)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
+
+
+@pytest.mark.parametrize("family,rank", TABLE_TYPES)
 def test_classical_counts(family, rank):
-    rs = system(family, rank)
-    assert rs.num_positive_roots == classical_positive_root_count(family, rank)
+    rs = build_root_system(RootSystemSpec(family, rank), allow_large=True)
+    count = classical_root_count(family, rank)
+    assert rs.num_positive_roots == classical_positive_root_count(family, rank) == count
+
+
+@pytest.mark.parametrize("family,rank", TABLE_TYPES)
+def test_tables_match_the_coefficient_slices(family, rank):
+    # Generation records each simple step as it finds it; the reference
+    # reads every step off the coefficient vectors instead.
+    rs = build_root_system(RootSystemSpec(family, rank), allow_large=True)
+    vectors = [r.coeffs for r in rs.positive_roots]
+    keys = [(r.height, r.coeffs) for r in rs.positive_roots]
+    assert keys == sorted(keys) and all(h == sum(c) for h, c in keys)
+    steps, ups = simple_steps_by_slicing(vectors)
+    assert list(rs.simple_step_table.items()) == list(steps.items())
+    assert rs.up_masks == ups
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    assert [rs.simple_root_index(i + 1) for i in range(rank)] == list(map(vectors.index, units))
 
 
 def test_canonical_order_is_by_height_then_lex():

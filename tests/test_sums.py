@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import sys
 import time
 from collections import Counter
 
@@ -252,6 +253,27 @@ def test_ci_guard_refuses_before_the_addition_table(monkeypatch, capsys):
     )
     with pytest.raises(AssertionError, match="construction started"):
         a40.add_roots(0, 1)
+
+
+def test_ci_guard_names_a_bound_past_the_digit_limit(capsys):
+    # A80 has 3,240 positive roots, so its bound 2^3240 has 976 decimal
+    # digits.  Past Python's int-to-str limit, lowered here below that, the
+    # refusal names the bound as a power of two instead of failing on it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        a80 = build_root_system(RootSystemSpec("A", 80), allow_large=True)
+        with pytest.raises(ChainLimitExceeded, match=r"at least 2\^3240 > ") as exc:
+            verify(a80)
+        assert exc.value.count == 1 << 3240
+        argv = ["verify", "--type", "A", "--rank", "80", "--allow-large"]
+        assert cli.run(argv, out=io.StringIO()) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().err == (
+        f"error: enumeration exceeds the chain guard: at least 2^3240 > {sums.DEFAULT_MAX_CHAINS} "
+        "chains; raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed\n"
+    )
 
 
 @pytest.mark.parametrize("broken", [False, True])
