@@ -39,7 +39,7 @@ from .ideals import (
     nilradical_of_parabolic,
     normalizer_type,
 )
-from .root_system import RootSystem
+from .root_system import RootSystem, RootSystemSpec, classical_positive_root_count
 
 # The most member pairs a successor table may consider.  CI through A7 and
 # D7, CA and CR of every type under ``MAX_IDEALS`` (A11: 2,094,081) and CP
@@ -345,7 +345,8 @@ def complex_family(
         return ids, tuple(succ), tuple(range(full))
     lat = ideal_lattice(rs)
     if kind is ComplexKind.CI:
-        ids = lat.nonzero_ids
+        # A tuple, not the lattice's range, so the successor lists share one int per id.
+        ids = tuple(lat.nonzero_ids)
     elif kind is ComplexKind.CA:
         ids = lat.abelian_ids
     else:
@@ -353,23 +354,33 @@ def complex_family(
     return ids, family_successors(lat, ids), lat.normalizer_bits
 
 
+def check_ci_bound(spec: RootSystemSpec, kind: ComplexKind, max_chains: int) -> None:
+    """``ChainLimitExceeded`` if ``kind`` is CI and its lower bound is over ``max_chains``.
+
+    With ``N`` positive roots, the last ``k`` roots in canonical order form an
+    ideal for each ``k`` in ``1..N``: a simple step raises the height, so it
+    stays among them.  These ``N`` ideals form one chain, and each of its
+    ``2^N`` subsets is a CI chain.  ``N`` is read from the type, so no root
+    is generated.
+    """
+    if kind is ComplexKind.CI:
+        bound = 1 << classical_positive_root_count(spec.family, spec.rank)
+        if bound > max_chains:
+            raise ChainLimitExceeded(max_chains, bound, at_least=True)
+
+
 def guarded_family(
     rs: RootSystem, kind: ComplexKind, max_chains: Optional[int]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], Optional[int]]:
     """``complex_family`` and its chain total, or ``ChainLimitExceeded`` past ``max_chains`` chains.
 
-    CI is first refused on a lower bound, before any table is built.  With
-    ``N`` positive roots, the last ``k`` roots in canonical order form an
-    ideal for each ``k`` in ``1..N``: a simple step raises the height, so it
-    stays among them.  These ``N`` ideals form one chain, and each of its
-    ``2^N`` subsets is a CI chain.  Otherwise the exact total is counted
-    over the family.  Without a guard the total is not counted, and is ``None``.
+    CI is first refused on its lower bound (``check_ci_bound``), before any
+    table is built.  Otherwise the exact total is counted over the family.
+    Without a guard the total is not counted, and is ``None``.
     """
     if max_chains is None:
         return (*complex_family(rs, kind), None)
-    bound = 1 << rs.num_positive_roots
-    if kind is ComplexKind.CI and bound > max_chains:
-        raise ChainLimitExceeded(max_chains, bound, at_least=True)
+    check_ci_bound(rs.spec, kind, max_chains)
     ids, succ, bits = complex_family(rs, kind)
     total = count_index_chains(ids, succ)
     if total > max_chains:

@@ -16,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import pairings
-from .chains import Chain, ChainLimitExceeded, ComplexKind, enumerate_chains
+from .chains import Chain, ChainLimitExceeded, ComplexKind, check_ci_bound, enumerate_chains
 from .ideals import (
     Ideal,
     IdealLattice,
@@ -25,7 +25,7 @@ from .ideals import (
     enumerate_ideals,
     ideal_lattice,
 )
-from .root_system import RootSystem, RootSystemSpec, build_root_system
+from .root_system import RootSystem, RootSystemSpec, build_root_system, check_size_gate
 from .sums import DEFAULT_MAX_CHAINS, verify
 
 ENV_MAX_CHAINS = "NILCHAIN_MAX_CHAINS"
@@ -35,13 +35,25 @@ class UsageError(ValueError):
     pass
 
 
-def _build(args: argparse.Namespace) -> RootSystem:
-    family = args.type.upper()
+def _spec(args: argparse.Namespace) -> RootSystemSpec:
     try:
-        spec = RootSystemSpec(family, args.rank)
-        return build_root_system(spec, allow_large=args.allow_large)
+        spec = RootSystemSpec(args.type.upper(), args.rank)
+        check_size_gate(spec, args.allow_large)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return spec
+
+
+def _build(args: argparse.Namespace) -> RootSystem:
+    return build_root_system(_spec(args), allow_large=args.allow_large)
+
+
+def _guarded_build(args: argparse.Namespace, kind: ComplexKind) -> tuple[RootSystem, int]:
+    """The system and the chain limit; CI's bound is checked before any root is generated."""
+    spec = _spec(args)
+    limit = _max_chains(args)
+    check_ci_bound(spec, kind, limit)
+    return build_root_system(spec, allow_large=args.allow_large), limit
 
 
 def _max_chains(args: argparse.Namespace) -> int:
@@ -56,6 +68,11 @@ def _max_chains(args: argparse.Namespace) -> int:
     try:
         limit = int(env)
     except ValueError as exc:
+        digits = env.strip().lstrip("+-")
+        if digits.isascii() and digits.isdigit():  # past Python's int-to-str digit limit
+            raise UsageError(
+                f"{ENV_MAX_CHAINS} is out of range: a {len(digits)}-digit integer"
+            ) from None
         raise UsageError(f"{ENV_MAX_CHAINS} must be an integer, got {env!r}") from exc
     if limit < 1:
         raise UsageError(f"{ENV_MAX_CHAINS} must be at least 1, got {limit}")
@@ -268,9 +285,8 @@ def _member_view(lat: Optional[IdealLattice], member) -> tuple[Sequence[int], in
 
 
 def _cmd_chains(args: argparse.Namespace, out) -> int:
-    rs = _build(args)
     kind = ComplexKind(args.complex)
-    limit = _max_chains(args)
+    rs, limit = _guarded_build(args, kind)
     # The guard and the size budgets refuse here, before the lattice is read.
     stream = enumerate_chains(rs, kind, max_chains=limit)
     # Each line is the bytes of json.dumps(doc) or of the display form,
@@ -357,8 +373,8 @@ def _sum_str(vector) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
-    rs = _build(args)
-    report = verify(rs, max_chains=_max_chains(args))
+    rs, limit = _guarded_build(args, ComplexKind.CI)
+    report = verify(rs, max_chains=limit)
     if args.format == "json":
         _write_json(report.to_dict(), out)
     elif args.format == "csv":

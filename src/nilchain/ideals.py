@@ -19,6 +19,9 @@ over ``MAX_IDEALS`` ideals is refused before anything is built
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress, islice
+from operator import eq
 from typing import Iterable, Iterator
 
 from .root_system import RootSystem, exponents
@@ -26,7 +29,7 @@ from .root_system import RootSystem, exponents
 ParabolicType = frozenset[int]
 
 # The most ideals a lattice is built for: A11 (208,012) fits, A12 (742,900)
-# does not.  A11's lattice builds in about a second at 86 MB max RSS.
+# does not.  A11's lattice builds in about a second at 55 MB max RSS.
 MAX_IDEALS = 250_000
 
 
@@ -207,13 +210,15 @@ def _derived_and_normalizers(
     is the lowest-index root of ``t`` (roots are sorted by height), and
     ``s = t - {r}``.  ``contributions[r]`` maps ``t & partners[r]`` to what
     ``r`` adds to the derived ideal, and ``escape`` holds the packed lanes
-    that ``blocked`` reads as normalizer bits.
+    that ``blocked`` reads as normalizer bits.  The ideals are taken one
+    size layer at a time, and only the previous layer's derived masks and
+    escape ints are kept: ``s`` is one root smaller than ``t``.
     """
     m, rank, count = rs.num_positive_roots, rs.rank, len(masks)
     sums: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     partners = [0] * m
     for (a, b), c in rs.addition_table.items():
-        sums[a].append((1 << b, 1 << c))
+        sums[a].append((b, c))
         partners[a] |= 1 << b
     contributions: list[dict[int, int]] = [{} for _ in range(m)]
     width = m + 1
@@ -231,40 +236,57 @@ def _derived_and_normalizers(
     for i in range(rank):
         lane = 1 << (m + i * width)
         blocked.update([(k | lane, v ^ (1 << i)) for k, v in blocked.items()])
-    derived_masks = [0] * count
-    escape = [0] * count
+    derived = [0] * count
     normalizer_bits = [full] * count
-    for t in range(1, count):
-        mask = masks[t]
-        bit = mask & -mask
-        r = bit.bit_length() - 1
-        s = index[mask ^ bit]
-        key = mask & partners[r]
-        try:
-            new = contributions[r][key]
-        except KeyError:
-            # Distinct partners give distinct sums, so adding the bits ORs them.
-            new = contributions[r][key] = sum(c for b, c in sums[r] if key & b)
-        derived_masks[t] = derived_masks[s] | new
-        e = escape[t] = escape[s] & keep[r] | down[r]
-        normalizer_bits[t] = blocked[(e + ones) & carry]
-    return tuple(index[d] for d in derived_masks), tuple(normalizer_bits)
+    sizes = Counter(map(int.bit_count, masks))
+    # Layer ``k`` is the ids ``start`` to ``end``; the previous one starts at ``base``.
+    last_derived, last_escape, base, start = [0], [0], 0, 1
+    for k in range(1, m + 1):
+        end = start + sizes[k]
+        layer_derived: list[int] = []
+        layer_escape: list[int] = []
+        for t in range(start, end):
+            mask = masks[t]
+            bit = mask & -mask
+            r = bit.bit_length() - 1
+            s = index[mask ^ bit] - base
+            key = mask & partners[r]
+            try:
+                new = contributions[r][key]
+            except KeyError:
+                # Distinct partners give distinct sums, so adding the bits ORs them.
+                new = contributions[r][key] = sum(1 << c for b, c in sums[r] if key >> b & 1)
+            d = last_derived[s] | new
+            layer_derived.append(d)
+            derived[t] = index[d]
+            e = last_escape[s] & keep[r] | down[r]
+            layer_escape.append(e)
+            normalizer_bits[t] = blocked[(e + ones) & carry]
+        last_derived, last_escape, base, start = layer_derived, layer_escape, start, end
+    return tuple(derived), tuple(normalizer_bits)
 
 
-def _nilradical_ids(rs: RootSystem, index: dict[int, int]) -> list[int]:
+def _nilradical_ids(rs: RootSystem, index: dict[int, int]) -> tuple[int, ...]:
     """Per normalizer bitmask ``J``, the id of the nilradical of its parabolic.
 
-    The nilradical holds the roots whose support is not inside ``J``; its
-    mask is looked up in ``index``, so one that is not an ideal raises
-    ``KeyError``.
+    The nilradical holds the roots whose support is not inside ``J``.  For
+    ``J`` not full, with ``low`` its lowest missing position, those are the
+    roots of the nilradical of ``J | low`` and the roots ``outside[low]``
+    whose support holds ``low``; so the masks are built from the full ``J``,
+    whose nilradical is zero, down.  Each mask is looked up in ``index``, so
+    one that is not an ideal raises ``KeyError``.
     """
-    supports = [
-        sum(1 << i for i, c in enumerate(root.coeffs) if c) for root in rs.positive_roots
-    ]
-    return [
-        index[sum(1 << r for r, sup in enumerate(supports) if sup & ~j)]
-        for j in range(1 << rs.rank)
-    ]
+    outside = [0] * rs.rank
+    for r, root in enumerate(rs.positive_roots):
+        for i, c in enumerate(root.coeffs):
+            if c:
+                outside[i] |= 1 << r
+    full = (1 << rs.rank) - 1
+    nil = [0] * (full + 1)
+    for j in reversed(range(full)):
+        low = ~j & (j + 1)
+        nil[j] = nil[j | low] | outside[low.bit_length() - 1]
+    return tuple(map(index.__getitem__, nil))
 
 
 def _lookup(n: Ideal) -> tuple["IdealLattice", int]:
@@ -337,7 +359,10 @@ class IdealLattice:
     The tables come from root tables and masks.  Ideals are built up over
     covers, smallest first.  For a nonzero ideal ``t`` let ``r`` be a root
     of minimal height in ``t``.  No member of ``t`` steps up onto ``r``, so
-    ``s = t - {r}`` is again an ideal, and an earlier one.
+    ``s = t - {r}`` is again an ideal, and an earlier one.  It is one root
+    smaller, so it lies in the previous size layer of the canonical order:
+    the build goes one layer at a time and keeps the working state below,
+    a derived mask and an ``escape`` int per ideal, for two layers only.
     A bracket within ``t`` either stays within ``s`` or involves ``r``, so
 
         derived(t) = derived(s) | {r + b : b in t, r + b a positive root}.
@@ -367,10 +392,11 @@ class IdealLattice:
     turns those carries into the normalizer bits.
 
     There are only ``2^rank`` nilradicals, one per subset of simple
-    positions; each is built once, and an ideal's radical closure is the
-    nilradical of its normalizer bits.  Every derived and nilradical mask is
-    resolved through ``index``, so a mask that is not an ideal raises
-    ``KeyError``.
+    positions; each is built once, from the next larger subset's, and an
+    ideal's radical closure is the nilradical of its normalizer bits.
+    Every derived and nilradical mask is resolved through ``index``, so a
+    mask that is not an ideal raises ``KeyError``.  ``nonzero_ids`` is a
+    ``range``, since the nonzero ideals are every id from 1 up.
     """
 
     __slots__ = (
@@ -391,17 +417,17 @@ class IdealLattice:
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
-        self.masks = _ideal_masks(rs)
-        self.index = {mk: i for i, mk in enumerate(self.masks)}
-        self.derived, self.normalizer_bits = _derived_and_normalizers(rs, self.masks, self.index)
-        self.abelian = tuple(d == 0 for d in self.derived)
-        nil_id = _nilradical_ids(rs, self.index)
-        self.nil_id = tuple(nil_id)
-        self.radical_closure = tuple(nil_id[bits] for bits in self.normalizer_bits)
-        self.radical = tuple(c == i for i, c in enumerate(self.radical_closure))
-        self.nonzero_ids = tuple(range(1, len(self.masks)))
-        self.abelian_ids = tuple(i for i in self.nonzero_ids if self.abelian[i])
-        self.radical_ids = tuple(i for i in self.nonzero_ids if self.radical[i])
+        self.masks = masks = _ideal_masks(rs)
+        count = len(masks)
+        self.index = index = dict(zip(masks, range(count)))
+        self.derived, self.normalizer_bits = _derived_and_normalizers(rs, masks, index)
+        self.abelian = tuple(map((0).__eq__, self.derived))
+        self.nil_id = nil_id = _nilradical_ids(rs, index)
+        self.radical_closure = tuple(map(nil_id.__getitem__, self.normalizer_bits))
+        self.radical = tuple(map(eq, self.radical_closure, range(count)))
+        self.nonzero_ids = range(1, count)
+        self.abelian_ids = tuple(compress(self.nonzero_ids, islice(self.abelian, 1, None)))
+        self.radical_ids = tuple(compress(self.nonzero_ids, islice(self.radical, 1, None)))
         self.full_simple_bits = (1 << rs.rank) - 1
 
     def __len__(self) -> int:

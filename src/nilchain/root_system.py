@@ -274,13 +274,13 @@ def _addition_table(positive_roots: tuple[Root, ...]) -> dict[tuple[int, int], i
     return addition
 
 
-def build_root_system(spec: RootSystemSpec, *, allow_large: bool = False) -> RootSystem:
-    """Generate the positive root system of ``spec``.
+def check_size_gate(spec: RootSystemSpec, allow_large: bool) -> int:
+    """The positive-root count of ``spec``, which must pass the size gate.
 
     Systems with more than ``DEFAULT_MAX_POSITIVE_ROOTS`` positive roots, as
-    well as E7 and E8, are rejected unless ``allow_large`` is set; chain
-    enumeration over them is astronomically large and the gate keeps misuse
-    loud.  Construction itself is cheap for every supported type.
+    well as E7 and E8, raise ``ValueError`` unless ``allow_large`` is set;
+    chain enumeration over them is astronomically large and the gate keeps
+    misuse loud.
     """
     count = classical_positive_root_count(spec.family, spec.rank)
     if not allow_large:
@@ -289,6 +289,15 @@ def build_root_system(spec: RootSystemSpec, *, allow_large: bool = False) -> Roo
                 f"{spec} has {count} positive roots, above the default gate; "
                 "pass allow_large=True (CLI: --allow-large) to build it anyway"
             )
+    return count
+
+
+def build_root_system(spec: RootSystemSpec, *, allow_large: bool = False) -> RootSystem:
+    """Generate the positive root system of ``spec``, past ``check_size_gate``.
+
+    Construction itself is cheap for every supported type.
+    """
+    count = check_size_gate(spec, allow_large)
     cartan = cartan_matrix(spec)
     positive_roots, steps = _generate(cartan)
     if len(positive_roots) != count:

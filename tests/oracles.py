@@ -7,8 +7,9 @@ rank-4 cross-check enumerates antichains of the componentwise order.  The
 per-ideal predicates work on coefficient vectors alone: a bracket is a sum
 of two member vectors that is again a positive-root vector, and a support
 is the set of nonzero coefficients.  They use no root tables.  The
-step-table and root-count references are the package's former derivations,
-kept here to check the ones that replaced them.
+step-table, root-count, cover-recursion and support-scan references are the
+package's former derivations, kept here to check the ones that replaced
+them.
 """
 
 from __future__ import annotations
@@ -138,6 +139,60 @@ def simple_steps_by_slicing(roots: list[tuple[int, ...]]):
                 up |= 1 << s
         ups.append(up)
     return steps, tuple(ups)
+
+
+def derived_and_normalizers_by_covers(rs, masks: tuple[int, ...], index: dict[int, int]):
+    """Per ideal id, the id of its derived ideal and its normalizer bits, over covers.
+
+    The package's former build, less its memo and its carry table: it keeps
+    a derived mask and a packed ``escape`` int for every ideal, adds up each
+    contribution from per-root ``(partner, sum)`` bit pairs, and reads each
+    lane of ``escape`` on its own.  ``r`` is the lowest
+    root of ideal ``t`` and ``s = t - {r}`` its parent; lane ``i`` of
+    ``escape(t)``, ``m + 1`` bits wide, holds the roots ``c`` outside ``t``
+    with ``c + alpha_i`` in ``t``, and ``alpha_i`` once it is in ``t``.
+    Position ``i`` is in the normalizer exactly when that lane is zero.
+    """
+    m, rank, count = rs.num_positive_roots, rs.rank, len(masks)
+    sums: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for (a, b), c in rs.addition_table.items():
+        sums[a].append((1 << b, 1 << c))
+    width = m + 1
+    spread = sum(1 << (i * width) for i in range(rank))
+    down = [0] * m
+    for (c, i), up in rs.simple_step_table.items():
+        down[up] |= 1 << (c + (i - 1) * width)
+    for i in range(rank):
+        a = rs.simple_root_index(i + 1)
+        down[a] |= 1 << (a + i * width)
+    lane = (1 << m) - 1
+    derived_masks = [0] * count
+    escape = [0] * count
+    normalizer_bits = [(1 << rank) - 1] * count
+    for t in range(1, count):
+        mask = masks[t]
+        bit = mask & -mask
+        r = bit.bit_length() - 1
+        s = index[mask ^ bit]
+        derived_masks[t] = derived_masks[s] | sum(c for b, c in sums[r] if mask & b)
+        e = escape[t] = escape[s] & ~(bit * spread) | down[r]
+        normalizer_bits[t] = sum(1 << i for i in range(rank) if not (e >> (i * width)) & lane)
+    return tuple(index[d] for d in derived_masks), tuple(normalizer_bits)
+
+
+def nilradical_ids_by_supports(rs, index: dict[int, int]) -> list[int]:
+    """Per simple-position bitmask ``J``, the id of its parabolic's nilradical.
+
+    The package's former scan: for every ``J``, every root whose support is
+    not inside ``J`` is collected, and the mask is looked up in ``index``.
+    """
+    supports = [
+        sum(1 << i for i, c in enumerate(root.coeffs) if c) for root in rs.positive_roots
+    ]
+    return [
+        index[sum(1 << r for r, sup in enumerate(supports) if sup & ~j)]
+        for j in range(1 << rs.rank)
+    ]
 
 
 def upper_closed_subsets_by_filter(root_vectors: list[tuple[int, ...]]) -> set[frozenset]:

@@ -20,6 +20,7 @@ from nilchain import (
     membership,
     normalizer_type,
 )
+from nilchain import root_system
 from nilchain.cli import UsageError, parse_chain_literal, run
 
 from conftest import system
@@ -232,6 +233,47 @@ def test_max_chains_flag_and_env(monkeypatch, capsys):
     monkeypatch.setenv("NILCHAIN_MAX_CHAINS", "not-a-number")
     code, _ = invoke("chains", "--type", "A", "--rank", "2", "--complex", "ci")
     assert code == 2
+
+
+def test_max_chains_env_past_the_digit_limit(monkeypatch, capsys):
+    # A 5,000-digit value cannot be read as an int; it is refused as out of
+    # range by its digit count, not echoed.
+    monkeypatch.setenv("NILCHAIN_MAX_CHAINS", "9" * 5000)
+    assert invoke("verify", "--type", "A", "--rank", "2") == (2, "")
+    assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS is out of range: a 5000-digit integer\n"
+    monkeypatch.setenv("NILCHAIN_MAX_CHAINS", "x" * 3)
+    assert invoke("verify", "--type", "A", "--rank", "2") == (2, "")
+    assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS must be an integer, got 'xxx'\n"
+
+
+def test_ci_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys):
+    # The CI bound 2^N needs only N, the sum of the exponents, so A200 is
+    # refused before any of its 20,100 roots is generated.  The errors keep
+    # their order: spec, size gate, chain limit, then the bound.
+    def generated(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(root_system, "_generate", generated)
+    monkeypatch.delenv("NILCHAIN_MAX_CHAINS", raising=False)
+    a200 = ["--type", "A", "--rank", "200"]
+    bound = (
+        "error: enumeration exceeds the chain guard: at least 2^20100 > 100000000 chains; "
+        "raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed\n"
+    )
+    for command in (["verify"], ["chains", "--complex", "ci"]):
+        assert invoke(*command, *a200, "--allow-large") == (2, "")
+        assert capsys.readouterr().err == bound
+        for argv, error in (
+            (["--type", "Z", "--rank", "200", "--max-chains", "0"], "unknown family 'Z'"),
+            ([*a200, "--max-chains", "0"], "A200 has 20100 positive roots, above the default gate"),
+            ([*a200, "--allow-large", "--max-chains", "0"], "--max-chains must be at least 1, got 0"),
+        ):
+            assert invoke(*command, *argv) == (2, "")
+            assert capsys.readouterr().err.startswith("error: " + error)
+        monkeypatch.setenv("NILCHAIN_MAX_CHAINS", "0")
+        assert invoke(*command, *a200, "--allow-large") == (2, "")
+        assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS must be at least 1, got 0\n"
+        monkeypatch.delenv("NILCHAIN_MAX_CHAINS")
 
 
 def test_output_determinism():

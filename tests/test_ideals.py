@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -34,8 +35,10 @@ from nilchain.sums import _cr_cp_failure
 
 from conftest import ACCEPTANCE_SYSTEMS, system
 from oracles import (
+    derived_and_normalizers_by_covers,
     derived_by_vectors,
     nilradical_by_vectors,
+    nilradical_ids_by_supports,
     normalizer_by_vectors,
     radical_by_vectors,
     upper_closed_subsets_by_filter,
@@ -364,6 +367,45 @@ def test_lattice_tables_match_vector_oracles_on_a_stride_sample(family, rank):
     assert lat.masks[sample[-1]] == (1 << lat.rs.num_positive_roots) - 1
     for i in sample:
         check_tables_by_vectors(lat, roots, i)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", r) for r in range(1, 10)] + [("B", r) for r in range(2, 7)] + [("C", r) for r in range(3, 7)]
+    + [("D", r) for r in range(4, 8)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_layered_build_matches_the_all_ideals_recursion(family, rank):
+    # The layered build keeps two size layers; the reference keeps every
+    # ideal's derived mask and escape int, and scans supports for nilradicals.
+    lat = IdealLattice(build_root_system(RootSystemSpec(family, rank), allow_large=True))
+    derived, bits = derived_and_normalizers_by_covers(lat.rs, lat.masks, lat.index)
+    nil_id = nilradical_ids_by_supports(lat.rs, lat.index)
+    closure = tuple(nil_id[b] for b in bits)
+    assert lat.index == {mk: i for i, mk in enumerate(lat.masks)}
+    assert lat.derived == derived
+    assert lat.normalizer_bits == bits
+    assert lat.nil_id == tuple(nil_id)
+    assert lat.radical_closure == closure
+    assert lat.abelian == tuple(d == 0 for d in derived)
+    assert lat.radical == tuple(c == i for i, c in enumerate(closure))
+    assert lat.abelian_ids == tuple(i for i in range(1, len(lat)) if derived[i] == 0)
+    assert lat.radical_ids == tuple(i for i in range(1, len(lat)) if closure[i] == i)
+
+
+@pytest.mark.parametrize("family,rank", [("E", 8), ("A", 9), ("D", 7)])
+def test_lattice_build_peaks_near_its_kept_size(family, rank):
+    # Only two size layers of per-ideal working state are alive at once, so
+    # the traced peak of a build stays within 10% of what the lattice keeps.
+    # Allocation counts are deterministic, so this is no timing test.
+    rs = build_root_system(RootSystemSpec(family, rank), allow_large=True)
+    tracemalloc.start()
+    try:
+        lat = IdealLattice(rs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == ideal_count(rs)
+    assert peak <= 1.1 * kept, (peak, kept)
 
 
 def check_tables_by_vectors(lat, roots, i):
