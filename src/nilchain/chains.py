@@ -31,6 +31,7 @@ from .ideals import (
     _bit_positions,
     _check_parabolic_type,
     _type_of_bits,
+    count_text,
     full_parabolic_type,
     ideal_count,
     ideal_lattice,
@@ -46,6 +47,10 @@ from .root_system import RootSystem, RootSystemSpec, classical_positive_root_cou
 # through rank 13 fit; CI of A8, B7, C7, D8 and E7 and CP from rank 14 do not.
 MAX_SUCCESSOR_PAIRS = 2**22
 
+# The widest CI bound ``2^N`` held as an int, 8 KB; every bound that prints
+# in digits under Python's default int-to-str limit is narrower.
+_HELD_BITS = 2**16
+
 
 class ComplexKind(enum.Enum):
     CI = "ci"
@@ -55,14 +60,17 @@ class ComplexKind(enum.Enum):
 
 
 class ChainLimitExceeded(RuntimeError):
-    """Raised when an enumeration would emit more chains than allowed."""
+    """Raised when an enumeration would emit more chains than allowed.
 
-    def __init__(self, limit: int, count: int, *, at_least: bool = False) -> None:
-        try:
-            shown = str(count)
-        except ValueError:  # past Python's int-to-str digit limit
-            k = count.bit_length() - 1
-            shown = f"2^{k}" if count == 1 << k else f"over 2^{k}"
+    ``count`` is the chain total, or with ``at_least`` a lower bound on it.
+    A bound ``2^power`` too wide to hold is named by ``power`` alone, and
+    ``count`` is then ``None``.
+    """
+
+    def __init__(
+        self, limit: int, count: Optional[int], *, at_least: bool = False, power: int = 0
+    ) -> None:
+        shown = f"2^{power}" if count is None else count_text(count)
         super().__init__(
             f"enumeration exceeds the chain guard: {'at least ' if at_least else ''}"
             f"{shown} > {limit} chains; raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed"
@@ -295,7 +303,7 @@ def count_index_chains(
     return 1 + sum(chains_starting_at(family_ids, succ_within).values())
 
 
-def _successor_pairs(rs: RootSystem, kind: ComplexKind) -> int:
+def _successor_pairs(spec: RootSystemSpec, kind: ComplexKind) -> int:
     """Member pairs a complex's successor table considers, from its type alone.
 
     ``n`` ideal members give ``n(n-1)/2``: CI has the nonzero ideals, CA the
@@ -305,9 +313,23 @@ def _successor_pairs(rs: RootSystem, kind: ComplexKind) -> int:
     ``2^rank`` with ``j = s``, plus the full pair, taken off twice.
     """
     if kind is ComplexKind.CP:
-        return 3**rs.rank - 2 ** (rs.rank + 1) + 1
-    n = ideal_count(rs) - 1 if kind is ComplexKind.CI else 2**rs.rank - 1
+        return 3**spec.rank - 2 ** (spec.rank + 1) + 1
+    n = ideal_count(spec) - 1 if kind is ComplexKind.CI else 2**spec.rank - 1
     return n * (n - 1) // 2
+
+
+def check_successor_budget(spec: RootSystemSpec, kind: ComplexKind) -> None:
+    """``SizeLimitExceeded`` if the successor table of ``kind`` is over its budget.
+
+    It may consider ``MAX_SUCCESSOR_PAIRS`` member pairs, counted from the
+    type alone (``_successor_pairs``), so no root is generated.
+    """
+    pairs = _successor_pairs(spec, kind)
+    if pairs > MAX_SUCCESSOR_PAIRS:
+        raise SizeLimitExceeded(
+            f"the {kind.name} successor table of {spec} considers {count_text(pairs, ',')} "
+            f"member pairs, over its budget of {MAX_SUCCESSOR_PAIRS:,}"
+        )
 
 
 def complex_family(
@@ -322,12 +344,7 @@ def complex_family(
     stabilizer.  Over ``MAX_SUCCESSOR_PAIRS`` member pairs (``_successor_pairs``),
     ``SizeLimitExceeded`` is raised first, before any lattice or table.
     """
-    pairs = _successor_pairs(rs, kind)
-    if pairs > MAX_SUCCESSOR_PAIRS:
-        raise SizeLimitExceeded(
-            f"the {kind.name} successor table of {rs.spec} considers {pairs:,} member pairs, "
-            f"over its budget of {MAX_SUCCESSOR_PAIRS:,}"
-        )
+    check_successor_budget(rs.spec, kind)
     if kind is ComplexKind.CP:
         full = (1 << rs.rank) - 1
         ids = tuple(sorted(range(full), key=lambda j: (j.bit_count(), _bit_positions(j))))
@@ -361,12 +378,14 @@ def check_ci_bound(spec: RootSystemSpec, kind: ComplexKind, max_chains: int) -> 
     ideal for each ``k`` in ``1..N``: a simple step raises the height, so it
     stays among them.  These ``N`` ideals form one chain, and each of its
     ``2^N`` subsets is a CI chain.  ``N`` is read from the type, so no root
-    is generated.
+    is generated, and ``2^N > max_chains`` exactly when ``N`` is at least
+    the bit length of ``max_chains``, so no wide ``2^N`` is built.
     """
     if kind is ComplexKind.CI:
-        bound = 1 << classical_positive_root_count(spec.family, spec.rank)
-        if bound > max_chains:
-            raise ChainLimitExceeded(max_chains, bound, at_least=True)
+        n = classical_positive_root_count(spec.family, spec.rank)
+        if n >= max_chains.bit_length():
+            bound = 1 << n if n <= _HELD_BITS else None
+            raise ChainLimitExceeded(max_chains, bound, at_least=True, power=n)
 
 
 def guarded_family(

@@ -16,12 +16,20 @@ import sys
 from typing import Optional, Sequence
 
 from . import pairings
-from .chains import Chain, ChainLimitExceeded, ComplexKind, check_ci_bound, enumerate_chains
+from .chains import (
+    Chain,
+    ChainLimitExceeded,
+    ComplexKind,
+    check_ci_bound,
+    check_successor_budget,
+    enumerate_chains,
+)
 from .ideals import (
     Ideal,
     IdealLattice,
     SizeLimitExceeded,
     _bit_positions,
+    check_ideal_budget,
     enumerate_ideals,
     ideal_lattice,
 )
@@ -44,15 +52,22 @@ def _spec(args: argparse.Namespace) -> RootSystemSpec:
     return spec
 
 
-def _build(args: argparse.Namespace) -> RootSystem:
-    return build_root_system(_spec(args), allow_large=args.allow_large)
+def _build(args: argparse.Namespace, *, lattice: bool = False) -> RootSystem:
+    """The system; with ``lattice``, its lattice budget is checked before any root is generated."""
+    spec = _spec(args)
+    if lattice:
+        check_ideal_budget(spec)
+    return build_root_system(spec, allow_large=args.allow_large)
 
 
 def _guarded_build(args: argparse.Namespace, kind: ComplexKind) -> tuple[RootSystem, int]:
-    """The system and the chain limit; CI's bound is checked before any root is generated."""
+    """The system and the chain limit; CI's bound and the size budgets come before any root."""
     spec = _spec(args)
     limit = _max_chains(args)
     check_ci_bound(spec, kind, limit)
+    check_successor_budget(spec, kind)
+    if kind is not ComplexKind.CP:
+        check_ideal_budget(spec)
     return build_root_system(spec, allow_large=args.allow_large), limit
 
 
@@ -213,7 +228,7 @@ def _cmd_roots(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_ideals(args: argparse.Namespace, out) -> int:
-    rs = _build(args)
+    rs = _build(args, lattice=True)
     lat = ideal_lattice(rs)
     rows = []
     # Canonical order is the lattice's id order, so flags are read by position.
@@ -322,7 +337,7 @@ def _cmd_chains(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_pair(args: argparse.Namespace, out) -> int:
-    rs = _build(args)
+    rs = _build(args, lattice=True)
     chain = parse_chain_literal(rs, args.chain)
     keeps_top = args.complex == "ci-minus-ca"
     name = "nonabelian" if keeps_top else "nonradical"

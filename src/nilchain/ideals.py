@@ -19,12 +19,13 @@ over ``MAX_IDEALS`` ideals is refused before anything is built
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
+from bisect import bisect_left
 from itertools import compress, islice
 from operator import eq
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Union
 
-from .root_system import RootSystem, exponents
+from .root_system import RootSystem, RootSystemSpec, exponents
 
 ParabolicType = frozenset[int]
 
@@ -37,26 +38,44 @@ class SizeLimitExceeded(RuntimeError):
     """Raised before building a lattice or a successor table over its budget."""
 
 
-def ideal_count(rs: RootSystem) -> int:
+def ideal_count(system: Union[RootSystem, RootSystemSpec]) -> int:
     """Number of ideals, ``prod (h + e_i + 1) / (e_i + 1)`` over the exponents.
 
     This is the Catalan number of the type (Cellini-Papi, J. Algebra 2000);
-    ``h`` is the Coxeter number, the largest exponent plus one.
+    ``h`` is the Coxeter number, the largest exponent plus one.  Every
+    factor is over 1, so once a partial product is past Python's int-to-str
+    digit limit the product stops, and returns an odd lower bound, which
+    ``count_text`` names as over a power of two.
     """
-    exps = exponents(rs.spec.family, rs.rank)
+    spec = getattr(system, "spec", system)
+    exps = exponents(spec.family, spec.rank)
     h = exps[-1] + 1
+    # At least 2^(4d) = 16^d, a partial product has over d digits (d = 0: no limit).
+    bits = 4 * sys.get_int_max_str_digits() or float("inf")
     num = den = 1
     for e in exps:
         num *= h + e + 1
         den *= e + 1
+        if num.bit_length() - den.bit_length() > bits:
+            return num // den | 1
     return num // den
 
 
-def _check_ideal_budget(rs: RootSystem) -> None:
-    count = ideal_count(rs)
+def count_text(count: int, fmt: str = "") -> str:
+    """``count`` formatted, or past Python's int-to-str digit limit as ``2^k`` or ``over 2^k``."""
+    try:
+        return format(count, fmt)
+    except ValueError:
+        k = count.bit_length() - 1
+        return f"2^{k}" if count == 1 << k else f"over 2^{k}"
+
+
+def check_ideal_budget(spec: RootSystemSpec) -> None:
+    """``SizeLimitExceeded`` if the lattice of ``spec`` has over ``MAX_IDEALS`` ideals."""
+    count = ideal_count(spec)
     if count > MAX_IDEALS:
         raise SizeLimitExceeded(
-            f"{rs.spec} has {count:,} ideals, over the lattice budget of {MAX_IDEALS:,}"
+            f"{spec} has {count_text(count, ',')} ideals, over the lattice budget of {MAX_IDEALS:,}"
         )
 
 
@@ -173,48 +192,21 @@ def _check_same_system(a: Ideal, b: Ideal) -> None:
 
 
 def enumerate_ideals(rs: RootSystem) -> tuple[Ideal, ...]:
-    """All ideals of the Borel, in canonical order (ascending size, then mask).
+    """All ideals of the Borel, zero and full included, in canonical order (by size, then mask)."""
+    return tuple(Ideal._unchecked(rs, m) for m in ideal_lattice(rs).masks)
 
-    Roots are taken from high to low height, and a root may only be included
-    once all of its upward simple steps are in.  The zero ideal and the full
-    nilradical are both present.
+
+def _ideal_tables(rs: RootSystem) -> tuple[list[int], dict[int, int], list[int], list[int]]:
+    """The ideal masks in canonical order, their ids, derived ids and normalizer bits.
+
+    One pass over the size layers, as the ``IdealLattice`` docstring
+    derives, with layer entries ``(mask, derived mask, escape, lowest
+    root)``.  ``contributions[r]`` maps ``t & partners[r]`` to what ``r``
+    adds to the derived ideal, and ``blocked`` reads the carries of
+    ``escape`` as normalizer bits.  Over budget, ``SizeLimitExceeded`` is raised first.
     """
-    return tuple(Ideal._unchecked(rs, m) for m in _ideal_masks(rs))
-
-
-def _ideal_masks(rs: RootSystem) -> tuple[int, ...]:
-    """All ideal masks, in canonical order.
-
-    Roots are taken from the last (highest) to the first.  After each root,
-    the list holds every ideal within the roots taken so far: each earlier
-    one, and each earlier one plus the new root when all of its upward simple
-    steps (higher, so already taken) are in it.  ``SizeLimitExceeded`` is
-    raised first if the system has more than ``MAX_IDEALS`` ideals.
-    """
-    _check_ideal_budget(rs)
-    found = [0]
-    for r in reversed(range(rs.num_positive_roots)):
-        up, bit = rs.up_masks[r], 1 << r
-        found += [mk | bit for mk in found if mk & up == up]
-    found.sort()
-    found.sort(key=int.bit_count)  # stable: by size, then by mask
-    return tuple(found)
-
-
-def _derived_and_normalizers(
-    rs: RootSystem, masks: tuple[int, ...], index: dict[int, int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per ideal id, the id of its derived ideal and its normalizer bits.
-
-    Both go over covers, as the ``IdealLattice`` docstring derives: ``r``
-    is the lowest-index root of ``t`` (roots are sorted by height), and
-    ``s = t - {r}``.  ``contributions[r]`` maps ``t & partners[r]`` to what
-    ``r`` adds to the derived ideal, and ``escape`` holds the packed lanes
-    that ``blocked`` reads as normalizer bits.  The ideals are taken one
-    size layer at a time, and only the previous layer's derived masks and
-    escape ints are kept: ``s`` is one root smaller than ``t``.
-    """
-    m, rank, count = rs.num_positive_roots, rs.rank, len(masks)
+    check_ideal_budget(rs.spec)
+    ups, m, rank = rs.up_masks, rs.num_positive_roots, rs.rank
     sums: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     partners = [0] * m
     for (a, b), c in rs.addition_table.items():
@@ -236,34 +228,35 @@ def _derived_and_normalizers(
     for i in range(rank):
         lane = 1 << (m + i * width)
         blocked.update([(k | lane, v ^ (1 << i)) for k, v in blocked.items()])
-    derived = [0] * count
-    normalizer_bits = [full] * count
-    sizes = Counter(map(int.bit_count, masks))
-    # Layer ``k`` is the ids ``start`` to ``end``; the previous one starts at ``base``.
-    last_derived, last_escape, base, start = [0], [0], 0, 1
-    for k in range(1, m + 1):
-        end = start + sizes[k]
-        layer_derived: list[int] = []
-        layer_escape: list[int] = []
-        for t in range(start, end):
-            mask = masks[t]
-            bit = mask & -mask
-            r = bit.bit_length() - 1
-            s = index[mask ^ bit] - base
-            key = mask & partners[r]
-            try:
-                new = contributions[r][key]
-            except KeyError:
-                # Distinct partners give distinct sums, so adding the bits ORs them.
-                new = contributions[r][key] = sum(1 << c for b, c in sums[r] if key >> b & 1)
-            d = last_derived[s] | new
-            layer_derived.append(d)
-            derived[t] = index[d]
-            e = last_escape[s] & keep[r] | down[r]
-            layer_escape.append(e)
-            normalizer_bits[t] = blocked[(e + ones) & carry]
-        last_derived, last_escape, base, start = layer_derived, layer_escape, start, end
-    return tuple(derived), tuple(normalizer_bits)
+    # ``first[low]`` is the first root at most one height below ``low``; the
+    # zero ideal's ``low`` is ``m``, one height past the top.
+    heights = [root.height for root in rs.positive_roots] + [rs.positive_roots[-1].height + 1]
+    first = [bisect_left(heights, h - 1) for h in heights]
+    masks, index, derived, normalizer_bits = [0], {0: 0}, [0], [full]
+    layer = [(0, 0, 0, m)]
+    while layer:
+        children = []
+        for s, ds, es, low in layer:
+            outside = ~s
+            for r in range(first[low], low):
+                if ups[r] & outside:
+                    continue
+                t = s | 1 << r
+                key = t & partners[r]
+                try:
+                    new = contributions[r][key]
+                except KeyError:
+                    # Distinct partners give distinct sums, so adding the bits ORs them.
+                    new = contributions[r][key] = sum(1 << c for b, c in sums[r] if key >> b & 1)
+                d = ds | new
+                e = es & keep[r] | down[r]
+                index[t] = len(masks)
+                masks.append(t)
+                derived.append(index[d])
+                normalizer_bits.append(blocked[(e + ones) & carry])
+                children.append((t, d, e, r))
+        layer = children
+    return masks, index, derived, normalizer_bits
 
 
 def _nilradical_ids(rs: RootSystem, index: dict[int, int]) -> tuple[int, ...]:
@@ -356,13 +349,17 @@ class IdealLattice:
     positions, as a bitmask, to the id of its parabolic's nilradical.  The
     object predicates above are lookups into these tables.
 
-    The tables come from root tables and masks.  Ideals are built up over
-    covers, smallest first.  For a nonzero ideal ``t`` let ``r`` be a root
-    of minimal height in ``t``.  No member of ``t`` steps up onto ``r``, so
-    ``s = t - {r}`` is again an ideal, and an earlier one.  It is one root
-    smaller, so it lies in the previous size layer of the canonical order:
-    the build goes one layer at a time and keeps the working state below,
-    a derived mask and an ``escape`` int per ideal, for two layers only.
+    The tables are made in one pass over the size layers.  For a nonzero
+    ideal ``t`` let ``r`` be its lowest root, of minimal height.  No member
+    of ``t`` steps up onto ``r``, so its parent ``s = t - {r}`` is an ideal
+    one root smaller.  So the children of ``s`` are ``s + {r}`` for each
+    root ``r`` below the lowest root of ``s`` with all its upward steps in
+    ``s``; a root two heights lower steps up only outside ``s``.  Taken
+    parent by parent in canonical order, with ``r`` ascending, the children
+    come out in canonical order: two parents of one size first differ at a
+    root above every ``r`` added.  Each child is made with its parent at
+    hand, and the working state below, a derived mask and an ``escape`` int
+    per ideal, is kept for two layers only.
     A bracket within ``t`` either stays within ``s`` or involves ``r``, so
 
         derived(t) = derived(s) | {r + b : b in t, r + b a positive root}.
@@ -417,13 +414,15 @@ class IdealLattice:
 
     def __init__(self, rs: RootSystem) -> None:
         self.rs = rs
-        self.masks = masks = _ideal_masks(rs)
+        masks, self.index, derived, bits = _ideal_tables(rs)
+        # Each list becomes a tuple and is freed before the next one is copied.
+        self.masks = masks = tuple(masks)
+        self.derived = derived = tuple(derived)
+        self.normalizer_bits = bits = tuple(bits)
         count = len(masks)
-        self.index = index = dict(zip(masks, range(count)))
-        self.derived, self.normalizer_bits = _derived_and_normalizers(rs, masks, index)
-        self.abelian = tuple(map((0).__eq__, self.derived))
-        self.nil_id = nil_id = _nilradical_ids(rs, index)
-        self.radical_closure = tuple(map(nil_id.__getitem__, self.normalizer_bits))
+        self.abelian = tuple(map((0).__eq__, derived))
+        self.nil_id = nil_id = _nilradical_ids(rs, self.index)
+        self.radical_closure = tuple(map(nil_id.__getitem__, bits))
         self.radical = tuple(map(eq, self.radical_closure, range(count)))
         self.nonzero_ids = range(1, count)
         self.abelian_ids = tuple(compress(self.nonzero_ids, islice(self.abelian, 1, None)))

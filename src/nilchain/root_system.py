@@ -65,8 +65,14 @@ def exponents(family: str, rank: int) -> tuple[int, ...]:
 
 
 def classical_positive_root_count(family: str, rank: int) -> int:
-    """Number of positive roots of the given type: the sum of its exponents."""
-    return sum(exponents(family, rank))
+    """Number of positive roots of the given type, the sum of its exponents, in closed form."""
+    if family == "A":
+        return rank * (rank + 1) // 2
+    if family in ("B", "C"):
+        return rank * rank
+    if family == "D":
+        return rank * (rank - 1)
+    return sum(_EXCEPTIONAL_EXPONENTS[(family, rank)])
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ rank-4 cross-check enumerates antichains of the componentwise order.  The
 per-ideal predicates work on coefficient vectors alone: a bracket is a sum
 of two member vectors that is again a positive-root vector, and a support
 is the set of nonzero coefficients.  They use no root tables.  The
-step-table, root-count, cover-recursion and support-scan references are the
-package's former derivations, kept here to check the ones that replaced
-them.
+step-table, root-count, mask-sorting, cover-recursion and support-scan
+references are the package's former derivations, kept here to check the
+ones that replaced them.
 """
 
 from __future__ import annotations
@@ -139,6 +139,24 @@ def simple_steps_by_slicing(roots: list[tuple[int, ...]]):
                 up |= 1 << s
         ups.append(up)
     return steps, tuple(ups)
+
+
+def ideal_masks_by_sorting(rs) -> tuple[int, ...]:
+    """All ideal masks in canonical order, generated root by root and then sorted.
+
+    The package's former generation.  Roots are taken from the last
+    (highest) to the first; after each root the list holds every ideal
+    within the roots taken so far: each earlier one, and each earlier one
+    plus the new root when all of its upward simple steps are in it.  The
+    list is then sorted by mask, and stably by size.
+    """
+    found = [0]
+    for r in reversed(range(rs.num_positive_roots)):
+        up, bit = rs.up_masks[r], 1 << r
+        found += [mk | bit for mk in found if mk & up == up]
+    found.sort()
+    found.sort(key=int.bit_count)
+    return tuple(found)
 
 
 def derived_and_normalizers_by_covers(rs, masks: tuple[int, ...], index: dict[int, int]):

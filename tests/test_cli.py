@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -274,6 +276,31 @@ def test_ci_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys):
         assert invoke(*command, *a200, "--allow-large") == (2, "")
         assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS must be at least 1, got 0\n"
         monkeypatch.delenv("NILCHAIN_MAX_CHAINS")
+
+
+def test_budget_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys):
+    # The lattice and successor budgets need only the type, so A200 is
+    # refused before any of its roots is generated.  A8000's ideal count is
+    # past Python's int-to-str digit limit, so it is named as over a power
+    # of two.
+    def generated(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(root_system, "_generate", generated)
+    a200 = ["--type", "A", "--rank", "200", "--allow-large"]
+    lattice = f"A200 has {math.comb(402, 201) // 202:,} ideals, over the lattice budget of 250,000"
+    pairs = "successor table of A200 considers {:,} member pairs, over its budget of 4,194,304"
+    for argv, error in (
+        (["ideals", *a200], lattice),
+        (["pair", *a200, "--complex", "ci-minus-ca", "--chain", "{20099}"], lattice),
+        (["chains", *a200, "--complex", "ca"], "the CA " + pairs.format((2**200 - 1) * (2**199 - 1))),
+        (["chains", *a200, "--complex", "cp"], "the CP " + pairs.format(3**200 - 2**201 + 1)),
+    ):
+        assert invoke(*argv) == (2, ""), argv
+        assert capsys.readouterr().err == f"error: {error}\n"
+    assert invoke("ideals", "--type", "A", "--rank", "8000", "--allow-large") == (2, "")
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: A8000 has over 2\^\d+ ideals, over the lattice budget of 250,000\n", err)
 
 
 def test_output_determinism():

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from nilchain import (
 )
 from nilchain import chains, cli, ideals
 from nilchain.chains import ComplexKind, _successor_pairs, complex_family
-from nilchain.ideals import ideal_count
+from nilchain.ideals import count_text, ideal_count
 from nilchain.root_system import RootSystem, exponents
 from nilchain.sums import _cr_cp_failure
 
@@ -37,6 +38,7 @@ from conftest import ACCEPTANCE_SYSTEMS, system
 from oracles import (
     derived_and_normalizers_by_covers,
     derived_by_vectors,
+    ideal_masks_by_sorting,
     nilradical_by_vectors,
     nilradical_ids_by_supports,
     normalizer_by_vectors,
@@ -150,12 +152,25 @@ def test_enumeration_and_lattice_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_enumeration_order_is_canonical(a2):
-    ideals = enumerate_ideals(a2)
-    keys = [(len(n), n.mask) for n in ideals]
-    assert keys == sorted(keys)
-    assert ideals[0].is_zero
-    assert len(ideals[-1]) == a2.num_positive_roots
+# Types whose lattice tables are checked against the package's former builds.
+REFERENCE_TYPES = (
+    [("A", r) for r in range(1, 10)] + [("B", r) for r in range(2, 7)] + [("C", r) for r in range(3, 7)]
+    + [("D", r) for r in range(4, 8)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def test_enumeration_order_is_canonical(monkeypatch):
+    # The layered build makes each ideal's children in canonical order; the
+    # reference generates every mask root by root and sorts the list.
+    monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
+    for family, rank in REFERENCE_TYPES:
+        rs = build_root_system(RootSystemSpec(family, rank), allow_large=True)
+        found = enumerate_ideals(rs)
+        keys = [(len(n), n.mask) for n in found]
+        assert keys == sorted(keys), (family, rank)
+        assert found[0].is_zero
+        assert len(found[-1]) == rs.num_positive_roots
+        assert tuple(n.mask for n in found) == ideal_masks_by_sorting(rs), (family, rank)
 
 
 def test_is_abelian_examples(a2):
@@ -369,11 +384,7 @@ def test_lattice_tables_match_vector_oracles_on_a_stride_sample(family, rank):
         check_tables_by_vectors(lat, roots, i)
 
 
-@pytest.mark.parametrize(
-    "family,rank",
-    [("A", r) for r in range(1, 10)] + [("B", r) for r in range(2, 7)] + [("C", r) for r in range(3, 7)]
-    + [("D", r) for r in range(4, 8)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
-)
+@pytest.mark.parametrize("family,rank", REFERENCE_TYPES)
 def test_layered_build_matches_the_all_ideals_recursion(family, rank):
     # The layered build keeps two size layers; the reference keeps every
     # ideal's derived mask and escape int, and scans supports for nilradicals.
@@ -452,6 +463,27 @@ def test_exponents_are_the_dual_partition_of_root_heights(family, ranks):
             assert sum(e >= k for e in exps) == heights.count(k), (family, rank, k)
 
 
+def test_ideal_count_stops_past_the_digit_limit():
+    # A partial product is below the count, so once it is past Python's
+    # int-to-str limit the product stops, and the odd lower bound returned
+    # is named as over a power of two.  Under the default limit, A3000's
+    # Catalan number (1,802 digits) is exact.
+    a3000 = RootSystemSpec("A", 3000)
+    exact = math.comb(6002, 3001) // 3002
+    assert ideal_count(a3000) == exact
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        bound = ideal_count(a3000)
+        text = count_text(bound, ",")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert bound % 2 == 1 and bound < exact
+    k = int(text.removeprefix("over 2^"))
+    assert 10**640 < 2**k < bound
+    assert count_text(ideal_count(RootSystemSpec("A", 100_000))).startswith("over 2^")
+
+
 def test_size_gates_refuse_before_construction(monkeypatch, capsys):
     # Any ideal enumeration fails loudly, and no lattice is cached: the
     # enumeration starts by reading the systems' upward steps.
@@ -526,7 +558,7 @@ def test_chain_commands_on_a11_stop_before_the_lattice(monkeypatch, capsys):
         raise AssertionError("construction started")
 
     monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
-    monkeypatch.setattr(ideals, "_ideal_masks", built)
+    monkeypatch.setattr(ideals, "_ideal_tables", built)
     for rank, argv, pairs in (
         (11, ["verify", "--max-chains", str(10**30)], "CI successor table of A11 considers 21,634,184,055"),
         (9, ["verify", "--max-chains", str(10**14)], "CI successor table of A9 considers 141,027,615"),

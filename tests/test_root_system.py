@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from nilchain import (
@@ -6,6 +8,7 @@ from nilchain import (
     cartan_matrix,
     classical_positive_root_count,
 )
+from nilchain.root_system import check_size_gate
 
 from conftest import system
 from oracles import (
@@ -70,6 +73,22 @@ def test_classical_counts(family, rank):
     rs = build_root_system(RootSystemSpec(family, rank), allow_large=True)
     count = classical_root_count(family, rank)
     assert rs.num_positive_roots == classical_positive_root_count(family, rank) == count
+
+
+def test_size_gate_of_a_huge_rank_builds_nothing_large():
+    # The root count is a closed form, so the gate reads a rank of 10^12
+    # without a tuple of its exponents.
+    rank = 10**12
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"A{rank} has {rank * (rank + 1) // 2} positive roots, above"):
+            check_size_gate(RootSystemSpec("A", rank), allow_large=False)
+        counts = {f: check_size_gate(RootSystemSpec(f, rank), allow_large=True) for f in "ABCD"}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == {f: classical_root_count(f, rank) for f in "ABCD"}
+    assert peak < 100_000, peak
 
 
 @pytest.mark.parametrize("family,rank", TABLE_TYPES)

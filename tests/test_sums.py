@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -31,6 +32,7 @@ from nilchain import (
 from nilchain import chains, cli, ideals, pairings, root_system, sums
 from nilchain.chains import (
     chains_starting_at,
+    check_ci_bound,
     complex_family,
     count_index_chains,
     iter_index_chains,
@@ -220,7 +222,7 @@ def test_ci_guard_refuses_before_any_table_is_built(monkeypatch, capsys, a2):
         raise AssertionError("construction started")
 
     monkeypatch.setattr(ideals, "_LATTICE_CACHE", {})
-    monkeypatch.setattr(ideals, "_ideal_masks", built)
+    monkeypatch.setattr(ideals, "_ideal_tables", built)
     monkeypatch.setattr(chains, "family_successors", built)
     e7 = build_root_system(RootSystemSpec("E", 7), allow_large=True)
     with pytest.raises(ChainLimitExceeded, match="at least") as exc:
@@ -253,6 +255,28 @@ def test_ci_guard_refuses_before_the_addition_table(monkeypatch, capsys):
     )
     with pytest.raises(AssertionError, match="construction started"):
         a40.add_roots(0, 1)
+
+
+def test_ci_bound_of_a_huge_type_builds_no_wide_int():
+    # A300000 has 45,000,150,000 positive roots.  ``2^N > max_chains`` is read
+    # from the bit length of ``max_chains``, so the 5.6 GB int ``2^N`` is never
+    # built, and the refusal names the bound by its exponent.
+    spec = RootSystemSpec("A", 300_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChainLimitExceeded, match=r"at least 2\^45000150000 > 100000000 chains") as exc:
+            check_ci_bound(spec, ComplexKind.CI, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.count is None
+    assert peak < 100_000, peak
+    # The comparison is exact at the boundary: A3 has 2^6 CI chains at least.
+    a3 = RootSystemSpec("A", 3)
+    check_ci_bound(a3, ComplexKind.CI, 64)
+    with pytest.raises(ChainLimitExceeded, match="at least 64 > 63 chains") as exc:
+        check_ci_bound(a3, ComplexKind.CI, 63)
+    assert exc.value.count == 64
 
 
 def test_ci_guard_names_a_bound_past_the_digit_limit(capsys):
