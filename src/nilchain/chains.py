@@ -19,7 +19,6 @@ constant memory per path.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Union
 
@@ -39,8 +38,9 @@ from .ideals import (
     is_radical_member,
     nilradical_of_parabolic,
     normalizer_type,
+    unprintable_bits,
 )
-from .root_system import RootSystem, RootSystemSpec, classical_positive_root_count
+from .root_system import Frozen, RootSystem, RootSystemSpec, classical_positive_root_count
 
 # The most member pairs a successor table may consider.  CI through A7 and
 # D7, CA and CR of every type under ``MAX_IDEALS`` (A11: 2,094,081) and CP
@@ -79,23 +79,23 @@ class ChainLimitExceeded(RuntimeError):
         self.count = count
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A strictly increasing sequence of nonzero ideals of one root system."""
+class _ChainBase(Frozen):
+    """The fields, equality, hash, length and sign shared by both kinds of chain.
 
+    A chain is equal only to a chain of its own class.
+    """
+
+    __slots__ = _fields = ("rs", "members")
     rs: RootSystem
-    members: tuple[Ideal, ...]
+    members: tuple
 
-    def __post_init__(self) -> None:
-        for n in self.members:
-            if n.rs is not self.rs and n.rs.spec != self.rs.spec:
-                raise ValueError(f"chain member from {n.rs.spec} in a {self.rs.spec} chain")
-            if n.is_zero:
-                raise ValueError("the zero ideal is never a chain member")
-        # The members share the chain's system, so their masks compare directly.
-        for a, b in zip(self.members, self.members[1:]):
-            if a.mask & ~b.mask or a.mask == b.mask:
-                raise ValueError(f"chain members must strictly increase: {a} !< {b}")
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rs, self.members) == (other.rs, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.rs, self.members))
 
     @property
     def length(self) -> int:
@@ -107,38 +107,48 @@ class Chain:
     @property
     def sign(self) -> int:
         return -1 if len(self.members) % 2 else 1
+
+
+class Chain(_ChainBase):
+    """A strictly increasing sequence of nonzero ideals of one root system."""
+
+    __slots__ = ()
+    members: tuple[Ideal, ...]
+
+    def __init__(self, rs: RootSystem, members: tuple[Ideal, ...]) -> None:
+        for n in members:
+            if n.rs is not rs and n.rs.spec != rs.spec:
+                raise ValueError(f"chain member from {n.rs.spec} in a {rs.spec} chain")
+            if n.is_zero:
+                raise ValueError("the zero ideal is never a chain member")
+        # The members share the chain's system, so their masks compare directly.
+        for a, b in zip(members, members[1:]):
+            if a.mask & ~b.mask or a.mask == b.mask:
+                raise ValueError(f"chain members must strictly increase: {a} !< {b}")
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "members", members)
 
     def __str__(self) -> str:
         return "[" + " < ".join(str(n) for n in self.members) + "]"
 
 
-@dataclass(frozen=True)
-class ParabolicChain:
+class ParabolicChain(_ChainBase):
     """A strictly increasing sequence of proper parabolic types."""
 
-    rs: RootSystem
+    __slots__ = ()
     members: tuple[ParabolicType, ...]
 
-    def __post_init__(self) -> None:
-        full = full_parabolic_type(self.rs)
-        for j in self.members:
-            _check_parabolic_type(self.rs, j)
+    def __init__(self, rs: RootSystem, members: tuple[ParabolicType, ...]) -> None:
+        full = full_parabolic_type(rs)
+        for j in members:
+            _check_parabolic_type(rs, j)
             if j == full:
                 raise ValueError("the full simple set is never a parabolic chain member")
-        for a, b in zip(self.members, self.members[1:]):
+        for a, b in zip(members, members[1:]):
             if not a < b:
                 raise ValueError("parabolic chain members must strictly increase")
-
-    @property
-    def length(self) -> int:
-        return len(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def sign(self) -> int:
-        return -1 if len(self.members) % 2 else 1
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "members", members)
 
     def __str__(self) -> str:
         return "[" + " < ".join("{" + ", ".join(map(str, sorted(j))) + "}" for j in self.members) + "]"
@@ -318,18 +328,41 @@ def _successor_pairs(spec: RootSystemSpec, kind: ComplexKind) -> int:
     return n * (n - 1) // 2
 
 
+def _pairs_power(spec: RootSystemSpec, kind: ComplexKind) -> int:
+    """A ``k`` with ``2^k`` below the pair count of ``_successor_pairs``, from the rank alone.
+
+    From rank 4 on, CA and CR have ``(2^r - 1)(2^(r-1) - 1) > 2^(2r-2)``
+    pairs, and CP has ``3^r - 2^(r+1) + 1 > 2^(3r/2 - 1)``, as ``3^2 > 2^3``.
+    CI's pairs are counted from the ideal count, which stops by itself, so
+    its bound is 0.
+    """
+    if kind is ComplexKind.CI or spec.rank < 4:
+        return 0
+    if kind is ComplexKind.CP:
+        return 3 * spec.rank // 2 - 1
+    return 2 * spec.rank - 2
+
+
 def check_successor_budget(spec: RootSystemSpec, kind: ComplexKind) -> None:
     """``SizeLimitExceeded`` if the successor table of ``kind`` is over its budget.
 
     It may consider ``MAX_SUCCESSOR_PAIRS`` member pairs, counted from the
-    type alone (``_successor_pairs``), so no root is generated.
+    type alone (``_successor_pairs``), so no root is generated.  A count
+    over ``2^k`` past Python's int-to-str digit limit (``_pairs_power``) is
+    not counted, and is named as over ``2^k``.
     """
-    pairs = _successor_pairs(spec, kind)
-    if pairs > MAX_SUCCESSOR_PAIRS:
-        raise SizeLimitExceeded(
-            f"the {kind.name} successor table of {spec} considers {count_text(pairs, ',')} "
-            f"member pairs, over its budget of {MAX_SUCCESSOR_PAIRS:,}"
-        )
+    k = _pairs_power(spec, kind)
+    if k >= unprintable_bits():
+        shown = f"over 2^{k}"
+    else:
+        pairs = _successor_pairs(spec, kind)
+        if pairs <= MAX_SUCCESSOR_PAIRS:
+            return
+        shown = count_text(pairs, ",")
+    raise SizeLimitExceeded(
+        f"the {kind.name} successor table of {spec} considers {shown} "
+        f"member pairs, over its budget of {MAX_SUCCESSOR_PAIRS:,}"
+    )
 
 
 def complex_family(

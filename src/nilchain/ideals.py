@@ -25,7 +25,7 @@ from itertools import compress, islice
 from operator import eq
 from typing import Iterable, Iterator, Union
 
-from .root_system import RootSystem, RootSystemSpec, exponents
+from .root_system import RootSystem, RootSystemSpec, coxeter_number, iter_exponents
 
 ParabolicType = frozenset[int]
 
@@ -48,17 +48,24 @@ def ideal_count(system: Union[RootSystem, RootSystemSpec]) -> int:
     ``count_text`` names as over a power of two.
     """
     spec = getattr(system, "spec", system)
-    exps = exponents(spec.family, spec.rank)
-    h = exps[-1] + 1
-    # At least 2^(4d) = 16^d, a partial product has over d digits (d = 0: no limit).
-    bits = 4 * sys.get_int_max_str_digits() or float("inf")
+    h = coxeter_number(spec.family, spec.rank)
+    bits = unprintable_bits()
     num = den = 1
-    for e in exps:
+    for e in iter_exponents(spec.family, spec.rank):
         num *= h + e + 1
         den *= e + 1
         if num.bit_length() - den.bit_length() > bits:
             return num // den | 1
     return num // den
+
+
+def unprintable_bits() -> float:
+    """A count of ``2^this`` or more is past Python's int-to-str digit limit.
+
+    At least ``2^(4d) = 16^d``, a count has over ``d`` digits; with no
+    limit (``d = 0``), every count prints.
+    """
+    return 4 * sys.get_int_max_str_digits() or float("inf")
 
 
 def count_text(count: int, fmt: str = "") -> str:

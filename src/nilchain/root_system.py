@@ -24,8 +24,8 @@ lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import itertools
+from typing import Iterable, NamedTuple, Optional
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -55,13 +55,30 @@ _EXCEPTIONAL_EXPONENTS = {
 
 def exponents(family: str, rank: int) -> tuple[int, ...]:
     """Exponents of the given type, ascending; the Coxeter number is the largest plus one."""
+    return tuple(iter_exponents(family, rank))
+
+
+def iter_exponents(family: str, rank: int) -> Iterable[int]:
+    """The exponents of ``exponents``, in the same order, without a tuple of ``rank`` ints."""
     if family == "A":
-        return tuple(range(1, rank + 1))
+        return range(1, rank + 1)
     if family in ("B", "C"):
-        return tuple(range(1, 2 * rank, 2))
+        return range(1, 2 * rank, 2)
     if family == "D":
-        return tuple(sorted([*range(1, 2 * rank - 2, 2), rank - 1]))
+        # The odd numbers below 2 * rank - 2, with rank - 1 in its place.
+        return itertools.chain(range(1, rank, 2), (rank - 1,), range(rank | 1, 2 * rank - 2, 2))
     return _EXCEPTIONAL_EXPONENTS[(family, rank)]
+
+
+def coxeter_number(family: str, rank: int) -> int:
+    """The largest exponent plus one, in closed form."""
+    if family == "A":
+        return rank + 1
+    if family in ("B", "C"):
+        return 2 * rank
+    if family == "D":
+        return 2 * rank - 2
+    return _EXCEPTIONAL_EXPONENTS[(family, rank)][-1] + 1
 
 
 def classical_positive_root_count(family: str, rank: int) -> int:
@@ -75,31 +92,66 @@ def classical_positive_root_count(family: str, rank: int) -> int:
     return sum(_EXCEPTIONAL_EXPONENTS[(family, rank)])
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
+class Frozen:
+    """An immutable ``__slots__`` record.
+
+    A subclass lists its constructor's arguments in ``_fields``, sets each
+    once with ``object.__setattr__``, and defines its own ``==`` and hash.
+    Any later assignment or deletion raises ``AttributeError``; ``copy``
+    and ``pickle`` rebuild a record through its constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class RootSystemSpec(Frozen):
     """A simple-type selector: family letter plus rank.
 
     Invalid family/rank combinations are rejected here, so every spec that
     exists is buildable (subject to the size gate in ``build_root_system``).
     """
 
+    __slots__ = _fields = ("family", "rank")
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.family not in _RANK_RANGE:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {''.join(FAMILIES)}")
-        lo, hi = _RANK_RANGE[self.family]
-        if not isinstance(self.rank, int) or self.rank < lo or (hi is not None and self.rank > hi):
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in _RANK_RANGE:
+            raise ValueError(f"unknown family {family!r}; expected one of {''.join(FAMILIES)}")
+        lo, hi = _RANK_RANGE[family]
+        if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else (f"= {lo}" if lo == hi else f"in {lo}..{hi}")
-            raise ValueError(f"invalid rank {self.rank} for family {self.family}: rank must be {bound}")
+            raise ValueError(f"invalid rank {rank} for family {family}: rank must be {bound}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A positive root as a coefficient vector over the simple roots."""
 
     coeffs: tuple[int, ...]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import marshal
 import os
 import time
-from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, NamedTuple, NoReturn, Optional
 
 from .chains import (
@@ -91,8 +90,7 @@ class SumVector:
         return f"SumVector({body})"
 
 
-@dataclass
-class ComplexSummary:
+class ComplexSummary(NamedTuple):
     """Chain counts and the alternating sum of one complex."""
 
     kind: ComplexKind
@@ -101,8 +99,7 @@ class ComplexSummary:
     sum: SumVector
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Everything checked for one root system, with exact verdicts."""
 
     family: str
@@ -210,15 +207,19 @@ def _intervals_hold(rank: int, cp_signed: Mapping[int, Mapping[int, int]]) -> bo
     )
 
 
-@dataclass
 class _InvolutionStats:
     """One pairing's walk: its domain's chains by parity, and what broke a law."""
 
-    # Domain chains counted by ``stab << 1 | even``, for each stabilizer
-    # bitmask ``stab`` and ``even`` 1 for even length, 0 for odd.
-    tally: list[int]
-    failed_even: int = 0
-    first_failure: tuple[int, ...] = ()
+    __slots__ = ("tally", "failed_even", "first_failure")
+
+    def __init__(
+        self, tally: list[int], failed_even: int = 0, first_failure: tuple[int, ...] = ()
+    ) -> None:
+        # Domain chains counted by ``stab << 1 | even``, for each stabilizer
+        # bitmask ``stab`` and ``even`` 1 for even length, 0 for odd.
+        self.tally = tally
+        self.failed_even = failed_even
+        self.first_failure = first_failure
 
     def extend(self, later: "_InvolutionStats") -> None:
         """Add the stats of a later stretch of the same walk."""
@@ -377,7 +378,7 @@ def _work(
     try:
         stats = _walk_parts(lat, succ, run)
         with open(write, "wb") as pipe:
-            pipe.write(marshal.dumps([astuple(s) for s in stats]))
+            pipe.write(marshal.dumps([(s.tally, s.failed_even, s.first_failure) for s in stats]))
         status = 0
     finally:
         os._exit(status)

@@ -1,3 +1,4 @@
+import copy
 import io
 from itertools import combinations
 
@@ -276,6 +277,43 @@ def test_parabolic_chain_validation(a2):
         ParabolicChain(a2, (frozenset({1}), frozenset({2})))
     with pytest.raises(ValueError, match="1..2"):
         ParabolicChain(a2, (frozenset({4}),))
+
+
+def test_chain_records(a2, b2):
+    # Chains are frozen records, equal only within their own class.
+    chain = chain_of(a2, THETA, A2_LEFT)
+    same = chain_of(a2, THETA, A2_LEFT)
+    assert chain == same and hash(chain) == hash(same) and chain != chain_of(a2, THETA)
+    pchain = ParabolicChain(a2, (frozenset({1}),))
+    assert pchain == ParabolicChain(a2, (frozenset({1}),))
+    assert hash(pchain) == hash(ParabolicChain(a2, (frozenset({1}),)))
+    assert Chain(a2, ()) != ParabolicChain(a2, ()) and Chain(a2, ()) == Chain(a2, ())
+    assert (chain.length, len(chain), chain.sign, pchain.length, pchain.sign) == (2, 2, 1, 1, -1)
+    for record in (chain, pchain):
+        for name in ("rs", "members", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, ())
+        with pytest.raises(AttributeError):
+            del record.members
+        assert copy.copy(record) == record
+    zero, theta, left = Ideal(a2), chain.members[0], chain.members[1]
+    for bad, message in [
+        (lambda: Chain(a2, (zero,)), "the zero ideal is never a chain member"),
+        (lambda: Chain(a2, (left, theta)), "chain members must strictly increase: {0, 2} !< {2}"),
+        (lambda: Chain(a2, (Ideal(b2, [3]),)), "chain member from B2 in a A2 chain"),
+        (
+            lambda: ParabolicChain(a2, (frozenset({1, 2}),)),
+            "the full simple set is never a parabolic chain member",
+        ),
+        (
+            lambda: ParabolicChain(a2, (frozenset({1}), frozenset({2}))),
+            "parabolic chain members must strictly increase",
+        ),
+        (lambda: ParabolicChain(a2, (frozenset({4}),)), "parabolic type [4] not within simple indices 1..2"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            bad()
+        assert str(exc.value) == message
 
 
 def test_chain_str(a2):

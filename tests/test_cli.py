@@ -435,6 +435,18 @@ def _module_main(*argv):
     )
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # The records are written out, so importing the package and its CLI
+    # loads neither module (nor the ``ast``, ``dis`` and ``tokenize`` they pull in).
+    src = str(Path(__file__).parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import nilchain, nilchain.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_module_entry_point_exit_codes():
     done = _module_main("verify", "--type", "A", "--rank", "2", "--format", "json")
     assert done.returncode == 0, done.stderr

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -28,9 +29,15 @@ from nilchain import (
     normalizer_type,
     sum_ideals,
 )
-from nilchain import chains, cli, ideals
-from nilchain.chains import ComplexKind, _successor_pairs, complex_family
-from nilchain.ideals import count_text, ideal_count
+from nilchain import chains, cli, ideals, root_system
+from nilchain.chains import (
+    ComplexKind,
+    _pairs_power,
+    _successor_pairs,
+    check_successor_budget,
+    complex_family,
+)
+from nilchain.ideals import check_ideal_budget, count_text, ideal_count
 from nilchain.root_system import RootSystem, exponents
 from nilchain.sums import _cr_cp_failure
 
@@ -549,6 +556,79 @@ def test_successor_pairs_are_counted_from_the_type():
         rs = build_root_system(RootSystemSpec("A", rank), allow_large=True)
         succ = complex_family(rs, ComplexKind.CP)[1]
         assert _successor_pairs(rs, ComplexKind.CP) == sum(map(len, succ)), rank
+
+
+def _no_generation(*args):
+    raise AssertionError("generation started")
+
+
+def test_lattice_budget_of_a_huge_rank_builds_no_exponent_tuple(monkeypatch, capsys):
+    # The ideal count steps through the exponents (ranges for A, B and C,
+    # a range plus one value for D) and stops past the digit limit, so no
+    # tuple of ``rank`` exponents is built, and no root is generated.
+    monkeypatch.setattr(root_system, "_generate", _no_generation)
+    rank = 10**6
+    tracemalloc.start()
+    try:
+        for family in "ABCD":
+            with pytest.raises(SizeLimitExceeded) as exc:
+                check_ideal_budget(RootSystemSpec(family, rank))
+            message = rf"{family}{rank} has over 2\^\d+ ideals, over the lattice budget of 250,000"
+            assert re.fullmatch(message, str(exc.value))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    for family, rank in [("A", 10**12), ("D", 10**8)]:
+        argv = ["ideals", "--type", family, "--rank", str(rank), "--allow-large"]
+        assert cli.run(argv, out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {family}{rank} has over 2\^\d+ ideals, over the lattice budget of 250,000\n", err)
+
+
+def test_successor_budget_of_a_huge_rank_counts_no_pairs(monkeypatch, capsys):
+    # CA, CR and CP pairs are over ``2^_pairs_power`` from rank 4 on; past
+    # the digit limit that bound is named and nothing is counted.
+    monkeypatch.setattr(root_system, "_generate", _no_generation)
+    spec = RootSystemSpec("A", 10**6)
+    tracemalloc.start()
+    try:
+        for kind, power in [(ComplexKind.CA, 1999998), (ComplexKind.CR, 1999998), (ComplexKind.CP, 1499999)]:
+            message = f"the {kind.name} successor table of A1000000 considers over 2^{power} member pairs"
+            with pytest.raises(SizeLimitExceeded, match=re.escape(message)):
+                check_successor_budget(spec, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    for rank in range(1, 60):
+        for kind in (ComplexKind.CA, ComplexKind.CR, ComplexKind.CP):
+            small = RootSystemSpec("A", rank)
+            assert _successor_pairs(small, kind) > 2 ** _pairs_power(small, kind) or rank < 4
+    # A count is exact wherever it prints in digits, so those messages keep it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for rank in [*range(1335, 1345), *range(1700, 1715), 2000]:
+            big = RootSystemSpec("A", rank)
+            with pytest.raises(SizeLimitExceeded) as exc:
+                check_successor_budget(big, ComplexKind.CP)
+            pairs = _successor_pairs(big, ComplexKind.CP)
+            shown = str(exc.value).split(" considers ")[1].split(" member pairs")[0]
+            if count_text(pairs).isdigit():
+                assert shown == f"{pairs:,}", rank
+            else:
+                assert 2 ** int(shown.removeprefix("over 2^")) < pairs, rank
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for complex_ in ("ca", "cp"):
+        argv = ["chains", "--type", "A", "--rank", "1000000000", "--complex", complex_, "--allow-large"]
+        assert cli.run(argv, out=io.StringIO()) == 2
+        power = 1499999999 if complex_ == "cp" else 1999999998
+        assert capsys.readouterr().err == (
+            f"error: the {complex_.upper()} successor table of A1000000000 considers "
+            f"over 2^{power} member pairs, over its budget of 4,194,304\n"
+        )
 
 
 def test_chain_commands_on_a11_stop_before_the_lattice(monkeypatch, capsys):

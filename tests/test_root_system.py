@@ -1,8 +1,11 @@
+import copy
+import pickle
 import tracemalloc
 
 import pytest
 
 from nilchain import (
+    Root,
     RootSystemSpec,
     build_root_system,
     cartan_matrix,
@@ -180,6 +183,37 @@ def test_error_messages_name_the_offender():
         RootSystemSpec("Z", 2)
     with pytest.raises(ValueError, match="rank"):
         RootSystemSpec("D", 2)
+
+
+def test_spec_and_root_records():
+    # A spec is a frozen record equal only to specs; a root is a named tuple.
+    spec = RootSystemSpec("B", 3)
+    assert spec == RootSystemSpec("B", 3) and hash(spec) == hash(RootSystemSpec("B", 3))
+    assert spec != RootSystemSpec("C", 3) and spec != ("B", 3)
+    assert (spec.family, spec.rank, str(spec)) == ("B", 3, "B3")
+    assert repr(spec) == "RootSystemSpec(family='B', rank=3)"
+    for name in ("family", "rank", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(spec, name, 4)
+    with pytest.raises(AttributeError, match="cannot delete field 'rank'"):
+        del spec.rank
+    assert copy.copy(spec) == pickle.loads(pickle.dumps(spec)) == spec
+    for family, rank, message in [
+        ("Z", 2, "unknown family 'Z'; expected one of ABCDEFG"),
+        ("D", 2, "invalid rank 2 for family D: rank must be >= 4"),
+        ("E", 9, "invalid rank 9 for family E: rank must be in 6..8"),
+        ("G", 3, "invalid rank 3 for family G: rank must be = 2"),
+        ("A", 2.0, "invalid rank 2.0 for family A: rank must be >= 1"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            RootSystemSpec(family, rank)
+        assert str(exc.value) == message
+    root = system("A", 2).positive_roots[2]
+    assert root == Root(coeffs=(1, 1), height=2) and hash(root) == hash(Root((1, 1), 2))
+    assert (root.coeffs, root.height, str(root)) == ((1, 1), 2, "(1,1)")
+    assert repr(root) == "Root(coeffs=(1, 1), height=2)"
+    with pytest.raises(AttributeError):
+        root.height = 3
 
 
 def test_size_gate():

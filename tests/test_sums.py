@@ -41,7 +41,7 @@ from nilchain.chains import (
 from nilchain.cli import parse_chain_literal
 from nilchain.ideals import IdealLattice, ideal_lattice
 from nilchain.pairings import LAWS
-from nilchain.sums import _InvolutionStats
+from nilchain.sums import ComplexSummary, VerificationReport, _InvolutionStats
 
 from conftest import ACCEPTANCE_SYSTEMS, system
 from oracles import length_histogram_by_dicts, parabolic_chain_histogram
@@ -67,6 +67,35 @@ def test_alternating_sum_a1():
     assert alternating_sum(rs, ComplexKind.CI) == SumVector(
         {frozenset({1}): 1, frozenset(): -1}
     )
+
+
+def test_report_records_are_named_tuples(a2):
+    # Built by keyword, read by field name, and immutable.
+    report = verify(a2)
+    summary = report.complexes["CP"]
+    rebuilt = ComplexSummary(
+        kind=ComplexKind.CP, total=summary.total, by_length=summary.by_length, sum=summary.sum
+    )
+    assert rebuilt == summary and isinstance(summary, tuple)
+    assert (summary.kind, summary.total, summary.by_length) == (ComplexKind.CP, 6, {0: 1, 1: 3, 2: 2})
+    assert summary.sum == A2_VECTOR
+    fields = dict(
+        family="A",
+        rank=2,
+        complexes=report.complexes,
+        closed_form=report.closed_form,
+        verdicts=report.verdicts,
+        involution_checks=report.involution_checks,
+        elapsed_ms=report.elapsed_ms,
+        notes=report.notes,
+    )
+    assert VerificationReport(**fields) == report and report.ok
+    assert VerificationReport(**fields).to_dict() == report.to_dict()
+    assert (report.family, report.rank, report.closed_form) == ("A", 2, A2_VECTOR)
+    with pytest.raises(AttributeError):
+        report.notes = ""
+    with pytest.raises(AttributeError):
+        summary.total = 0
 
 
 def test_alternating_sums_a2(a2):
