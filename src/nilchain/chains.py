@@ -23,6 +23,7 @@ from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .ideals import (
+    COUNT_BITS,
     Ideal,
     IdealLattice,
     ParabolicType,
@@ -38,7 +39,6 @@ from .ideals import (
     is_radical_member,
     nilradical_of_parabolic,
     normalizer_type,
-    unprintable_bits,
 )
 from .root_system import Frozen, RootSystem, RootSystemSpec, classical_positive_root_count
 
@@ -46,10 +46,6 @@ from .root_system import Frozen, RootSystem, RootSystemSpec, classical_positive_
 # D7, CA and CR of every type under ``MAX_IDEALS`` (A11: 2,094,081) and CP
 # through rank 13 fit; CI of A8, B7, C7, D8 and E7 and CP from rank 14 do not.
 MAX_SUCCESSOR_PAIRS = 2**22
-
-# The widest CI bound ``2^N`` held as an int, 8 KB; every bound that prints
-# in digits under Python's default int-to-str limit is narrower.
-_HELD_BITS = 2**16
 
 
 class ComplexKind(enum.Enum):
@@ -62,18 +58,15 @@ class ComplexKind(enum.Enum):
 class ChainLimitExceeded(RuntimeError):
     """Raised when an enumeration would emit more chains than allowed.
 
-    ``count`` is the chain total, or with ``at_least`` a lower bound on it.
-    A bound ``2^power`` too wide to hold is named by ``power`` alone, and
-    ``count`` is then ``None``.
+    ``count`` is the chain total, or a lower bound on it that ``shown``
+    names; a bound at or past ``2^COUNT_BITS`` is named in ``shown`` alone,
+    and ``count`` is then ``None``.
     """
 
-    def __init__(
-        self, limit: int, count: Optional[int], *, at_least: bool = False, power: int = 0
-    ) -> None:
-        shown = f"2^{power}" if count is None else count_text(count)
+    def __init__(self, limit: int, count: Optional[int], shown: str = "") -> None:
         super().__init__(
-            f"enumeration exceeds the chain guard: {'at least ' if at_least else ''}"
-            f"{shown} > {limit} chains; raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed"
+            f"enumeration exceeds the chain guard: {shown or count} > {limit} chains; "
+            "raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed"
         )
         self.limit = limit
         self.count = count
@@ -320,49 +313,35 @@ def _successor_pairs(spec: RootSystemSpec, kind: ComplexKind) -> int:
     ``2^rank - 1`` nonzero abelian ones (Peterson), CR one per proper subset
     of simple indices.  CP's pairs ``j < s`` of proper subsets are the
     ``3^rank`` pairs ``j <= s``, less ``2^rank`` with ``s`` full and
-    ``2^rank`` with ``j = s``, plus the full pair, taken off twice.
+    ``2^rank`` with ``j = s``, plus the full pair, taken off twice.  A count
+    is exact below ``2^COUNT_BITS`` and at least the cap otherwise: CI's
+    ideal count stops at the cap, and from rank ``COUNT_BITS`` on, CA, CR
+    and CP are past it and are not counted.
     """
-    if kind is ComplexKind.CP:
+    if kind is ComplexKind.CI:
+        n = ideal_count(spec) - 1
+    elif spec.rank >= COUNT_BITS:
+        return 1 << COUNT_BITS
+    elif kind is ComplexKind.CP:
         return 3**spec.rank - 2 ** (spec.rank + 1) + 1
-    n = ideal_count(spec) - 1 if kind is ComplexKind.CI else 2**spec.rank - 1
+    else:
+        n = 2**spec.rank - 1
     return n * (n - 1) // 2
-
-
-def _pairs_power(spec: RootSystemSpec, kind: ComplexKind) -> int:
-    """A ``k`` with ``2^k`` below the pair count of ``_successor_pairs``, from the rank alone.
-
-    From rank 4 on, CA and CR have ``(2^r - 1)(2^(r-1) - 1) > 2^(2r-2)``
-    pairs, and CP has ``3^r - 2^(r+1) + 1 > 2^(3r/2 - 1)``, as ``3^2 > 2^3``.
-    CI's pairs are counted from the ideal count, which stops by itself, so
-    its bound is 0.
-    """
-    if kind is ComplexKind.CI or spec.rank < 4:
-        return 0
-    if kind is ComplexKind.CP:
-        return 3 * spec.rank // 2 - 1
-    return 2 * spec.rank - 2
 
 
 def check_successor_budget(spec: RootSystemSpec, kind: ComplexKind) -> None:
     """``SizeLimitExceeded`` if the successor table of ``kind`` is over its budget.
 
     It may consider ``MAX_SUCCESSOR_PAIRS`` member pairs, counted from the
-    type alone (``_successor_pairs``), so no root is generated.  A count
-    over ``2^k`` past Python's int-to-str digit limit (``_pairs_power``) is
-    not counted, and is named as over ``2^k``.
+    type alone (``_successor_pairs``), so no root is generated.  A count at
+    the cap ``2^COUNT_BITS`` is named as at least the cap.
     """
-    k = _pairs_power(spec, kind)
-    if k >= unprintable_bits():
-        shown = f"over 2^{k}"
-    else:
-        pairs = _successor_pairs(spec, kind)
-        if pairs <= MAX_SUCCESSOR_PAIRS:
-            return
-        shown = count_text(pairs, ",")
-    raise SizeLimitExceeded(
-        f"the {kind.name} successor table of {spec} considers {shown} "
-        f"member pairs, over its budget of {MAX_SUCCESSOR_PAIRS:,}"
-    )
+    pairs = _successor_pairs(spec, kind)
+    if pairs > MAX_SUCCESSOR_PAIRS:
+        raise SizeLimitExceeded(
+            f"the {kind.name} successor table of {spec} considers {count_text(pairs)} "
+            f"member pairs, over its budget of {MAX_SUCCESSOR_PAIRS:,}"
+        )
 
 
 def complex_family(
@@ -412,13 +391,14 @@ def check_ci_bound(spec: RootSystemSpec, kind: ComplexKind, max_chains: int) -> 
     stays among them.  These ``N`` ideals form one chain, and each of its
     ``2^N`` subsets is a CI chain.  ``N`` is read from the type, so no root
     is generated, and ``2^N > max_chains`` exactly when ``N`` is at least
-    the bit length of ``max_chains``, so no wide ``2^N`` is built.
+    the bit length of ``max_chains``.  A bound below ``2^COUNT_BITS`` is
+    named in digits; past the cap, ``2^N`` is named and not built.
     """
     if kind is ComplexKind.CI:
         n = classical_positive_root_count(spec.family, spec.rank)
         if n >= max_chains.bit_length():
-            bound = 1 << n if n <= _HELD_BITS else None
-            raise ChainLimitExceeded(max_chains, bound, at_least=True, power=n)
+            bound = 1 << n if n < COUNT_BITS else None
+            raise ChainLimitExceeded(max_chains, bound, f"at least {bound or f'2^{n}'}")
 
 
 def guarded_family(

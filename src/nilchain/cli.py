@@ -25,6 +25,7 @@ from .chains import (
     enumerate_chains,
 )
 from .ideals import (
+    COUNT_BITS,
     Ideal,
     IdealLattice,
     SizeLimitExceeded,
@@ -37,6 +38,11 @@ from .root_system import RootSystem, RootSystemSpec, build_root_system, check_si
 from .sums import DEFAULT_MAX_CHAINS, verify
 
 ENV_MAX_CHAINS = "NILCHAIN_MAX_CHAINS"
+
+# An integer input with more digits than ``2^COUNT_BITS`` (617) is refused as
+# out of range by its digit count; a shorter one reads at any int-to-str
+# digit limit Python allows.
+_MAX_DIGITS = len(str(1 << COUNT_BITS))
 
 
 class UsageError(ValueError):
@@ -80,14 +86,12 @@ def _max_chains(args: argparse.Namespace) -> int:
     env = os.environ.get(ENV_MAX_CHAINS)
     if env is None:
         return DEFAULT_MAX_CHAINS
+    digits = env.strip().lstrip("+-")
+    if len(digits) > _MAX_DIGITS and digits.isascii() and digits.isdigit():
+        raise UsageError(f"{ENV_MAX_CHAINS} is out of range: a {len(digits)}-digit integer")
     try:
         limit = int(env)
     except ValueError as exc:
-        digits = env.strip().lstrip("+-")
-        if digits.isascii() and digits.isdigit():  # past Python's int-to-str digit limit
-            raise UsageError(
-                f"{ENV_MAX_CHAINS} is out of range: a {len(digits)}-digit integer"
-            ) from None
         raise UsageError(f"{ENV_MAX_CHAINS} must be an integer, got {env!r}") from exc
     if limit < 1:
         raise UsageError(f"{ENV_MAX_CHAINS} must be at least 1, got {limit}")
@@ -147,13 +151,12 @@ def parse_chain_literal(rs: RootSystem, text: str) -> Chain:
                     pos += 1
                 if pos == start:
                     raise fail("a root index")
-                try:
-                    indices.append(int(s[start:pos]))
-                except ValueError:  # past Python's int-to-str digit limit
+                if pos - start > _MAX_DIGITS:
                     raise UsageError(
                         f"invalid chain member: the {pos - start}-digit root index at position "
                         f"{offset + start} is out of range for {rs.spec}"
-                    ) from None
+                    )
+                indices.append(int(s[start:pos]))
                 skip_ws()
                 if pos < n and s[pos] == ",":
                     pos += 1

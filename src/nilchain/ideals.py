@@ -19,7 +19,6 @@ over ``MAX_IDEALS`` ideals is refused before anything is built
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from itertools import compress, islice
 from operator import eq
@@ -33,48 +32,40 @@ ParabolicType = frozenset[int]
 # does not.  A11's lattice builds in about a second at 55 MB max RSS.
 MAX_IDEALS = 250_000
 
+# Counts are computed exactly only below ``2^COUNT_BITS``.  Such a count has
+# at most 617 digits, so it prints at every int-to-str digit limit Python
+# allows (640 digits or more, or none); a budget refuses a count at the cap
+# without finishing it.
+COUNT_BITS = 2048
+
 
 class SizeLimitExceeded(RuntimeError):
     """Raised before building a lattice or a successor table over its budget."""
 
 
 def ideal_count(system: Union[RootSystem, RootSystemSpec]) -> int:
-    """Number of ideals, ``prod (h + e_i + 1) / (e_i + 1)`` over the exponents.
+    """Number of ideals, ``prod (h + e_i + 1) / (e_i + 1)`` over the exponents, up to the cap.
 
     This is the Catalan number of the type (Cellini-Papi, J. Algebra 2000);
     ``h`` is the Coxeter number, the largest exponent plus one.  Every
-    factor is over 1, so once a partial product is past Python's int-to-str
-    digit limit the product stops, and returns an odd lower bound, which
-    ``count_text`` names as over a power of two.
+    factor is over 1, so once a partial product is past ``2^COUNT_BITS``
+    the product stops and returns the cap: a count of ``2^COUNT_BITS``
+    means at least that many.
     """
     spec = getattr(system, "spec", system)
     h = coxeter_number(spec.family, spec.rank)
-    bits = unprintable_bits()
     num = den = 1
     for e in iter_exponents(spec.family, spec.rank):
         num *= h + e + 1
         den *= e + 1
-        if num.bit_length() - den.bit_length() > bits:
-            return num // den | 1
+        if num > den << COUNT_BITS:
+            return 1 << COUNT_BITS
     return num // den
 
 
-def unprintable_bits() -> float:
-    """A count of ``2^this`` or more is past Python's int-to-str digit limit.
-
-    At least ``2^(4d) = 16^d``, a count has over ``d`` digits; with no
-    limit (``d = 0``), every count prints.
-    """
-    return 4 * sys.get_int_max_str_digits() or float("inf")
-
-
-def count_text(count: int, fmt: str = "") -> str:
-    """``count`` formatted, or past Python's int-to-str digit limit as ``2^k`` or ``over 2^k``."""
-    try:
-        return format(count, fmt)
-    except ValueError:
-        k = count.bit_length() - 1
-        return f"2^{k}" if count == 1 << k else f"over 2^{k}"
+def count_text(count: int) -> str:
+    """``count`` with thousands separators, or at the cap ``at least 2^COUNT_BITS``."""
+    return f"at least 2^{COUNT_BITS}" if count >= 1 << COUNT_BITS else f"{count:,}"
 
 
 def check_ideal_budget(spec: RootSystemSpec) -> None:
@@ -82,7 +73,7 @@ def check_ideal_budget(spec: RootSystemSpec) -> None:
     count = ideal_count(spec)
     if count > MAX_IDEALS:
         raise SizeLimitExceeded(
-            f"{spec} has {count_text(count, ',')} ideals, over the lattice budget of {MAX_IDEALS:,}"
+            f"{spec} has {count_text(count)} ideals, over the lattice budget of {MAX_IDEALS:,}"
         )
 
 

@@ -53,13 +53,11 @@ _EXCEPTIONAL_EXPONENTS = {
 }
 
 
-def exponents(family: str, rank: int) -> tuple[int, ...]:
-    """Exponents of the given type, ascending; the Coxeter number is the largest plus one."""
-    return tuple(iter_exponents(family, rank))
-
-
 def iter_exponents(family: str, rank: int) -> Iterable[int]:
-    """The exponents of ``exponents``, in the same order, without a tuple of ``rank`` ints."""
+    """Exponents of the given type, ascending, without a tuple of ``rank`` ints.
+
+    The Coxeter number is the largest plus one.
+    """
     if family == "A":
         return range(1, rank + 1)
     if family in ("B", "C"):

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -157,20 +156,21 @@ def test_pair_literal_position_error(capsys):
     assert "position 4" in capsys.readouterr().err
 
 
-def test_pair_literal_index_past_the_digit_limit():
-    # A 5,000-digit index is past Python's int-to-str limit, so it cannot
-    # even be read as an int: it is refused as out of range, as any usage
-    # error, on one line.
-    done = _module_main(
-        "pair", "--type", "A", "--rank", "2", "--complex", "ci-minus-ca",
-        "--chain", "{0, " + "9" * 5000 + "}",
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr == (
-        "error: invalid chain member: the 5000-digit root index at position 4 "
-        "is out of range for A2\n"
-    )
+def test_pair_literal_index_past_the_digit_limit(digit_limits):
+    # A 5,000-digit index has more digits than ``2^COUNT_BITS``, so it is
+    # not read as an int: at any int-to-str digit limit it is refused as out
+    # of range by its digit count, as any usage error, on one line.
+    for _ in digit_limits():
+        done = _module_main(
+            "pair", "--type", "A", "--rank", "2", "--complex", "ci-minus-ca",
+            "--chain", "{0, " + "9" * 5000 + "}",
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: invalid chain member: the 5000-digit root index at position 4 "
+            "is out of range for A2\n"
+        )
 
 
 def test_pair_domain_error(capsys):
@@ -237,21 +237,24 @@ def test_max_chains_flag_and_env(monkeypatch, capsys):
     assert code == 2
 
 
-def test_max_chains_env_past_the_digit_limit(monkeypatch, capsys):
-    # A 5,000-digit value cannot be read as an int; it is refused as out of
-    # range by its digit count, not echoed.
+def test_max_chains_env_past_the_digit_limit(monkeypatch, capsys, digit_limits):
+    # A 5,000-digit value has more digits than ``2^COUNT_BITS``, so at any
+    # int-to-str digit limit it is refused as out of range by its digit
+    # count, not read or echoed.
     monkeypatch.setenv("NILCHAIN_MAX_CHAINS", "9" * 5000)
-    assert invoke("verify", "--type", "A", "--rank", "2") == (2, "")
-    assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS is out of range: a 5000-digit integer\n"
+    for _ in digit_limits():
+        assert invoke("verify", "--type", "A", "--rank", "2") == (2, "")
+        assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS is out of range: a 5000-digit integer\n"
     monkeypatch.setenv("NILCHAIN_MAX_CHAINS", "x" * 3)
     assert invoke("verify", "--type", "A", "--rank", "2") == (2, "")
     assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS must be an integer, got 'xxx'\n"
 
 
-def test_ci_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys):
+def test_ci_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys, digit_limits):
     # The CI bound 2^N needs only N, the sum of the exponents, so A200 is
-    # refused before any of its 20,100 roots is generated.  The errors keep
-    # their order: spec, size gate, chain limit, then the bound.
+    # refused before any of its 20,100 roots is generated, at any digit
+    # limit.  The errors keep their order: spec, size gate, chain limit,
+    # then the bound.
     def generated(*args):
         raise AssertionError("generation started")
 
@@ -262,27 +265,29 @@ def test_ci_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys):
         "error: enumeration exceeds the chain guard: at least 2^20100 > 100000000 chains; "
         "raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed\n"
     )
-    for command in (["verify"], ["chains", "--complex", "ci"]):
-        assert invoke(*command, *a200, "--allow-large") == (2, "")
-        assert capsys.readouterr().err == bound
-        for argv, error in (
-            (["--type", "Z", "--rank", "200", "--max-chains", "0"], "unknown family 'Z'"),
-            ([*a200, "--max-chains", "0"], "A200 has 20100 positive roots, above the default gate"),
-            ([*a200, "--allow-large", "--max-chains", "0"], "--max-chains must be at least 1, got 0"),
-        ):
-            assert invoke(*command, *argv) == (2, "")
-            assert capsys.readouterr().err.startswith("error: " + error)
-        monkeypatch.setenv("NILCHAIN_MAX_CHAINS", "0")
-        assert invoke(*command, *a200, "--allow-large") == (2, "")
-        assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS must be at least 1, got 0\n"
-        monkeypatch.delenv("NILCHAIN_MAX_CHAINS")
+    for _ in digit_limits():
+        for command in (["verify"], ["chains", "--complex", "ci"]):
+            assert invoke(*command, *a200, "--allow-large") == (2, "")
+            assert capsys.readouterr().err == bound
+            for argv, error in (
+                (["--type", "Z", "--rank", "200", "--max-chains", "0"], "unknown family 'Z'"),
+                ([*a200, "--max-chains", "0"], "A200 has 20100 positive roots, above the default gate"),
+                ([*a200, "--allow-large", "--max-chains", "0"], "--max-chains must be at least 1, got 0"),
+            ):
+                assert invoke(*command, *argv) == (2, "")
+                assert capsys.readouterr().err.startswith("error: " + error)
+            monkeypatch.setenv("NILCHAIN_MAX_CHAINS", "0")
+            assert invoke(*command, *a200, "--allow-large") == (2, "")
+            assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS must be at least 1, got 0\n"
+            monkeypatch.delenv("NILCHAIN_MAX_CHAINS")
 
 
-def test_budget_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys):
+def test_budget_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys, digit_limits):
     # The lattice and successor budgets need only the type, so A200 is
-    # refused before any of its roots is generated.  A8000's ideal count is
-    # past Python's int-to-str digit limit, so it is named as over a power
-    # of two.
+    # refused before any of its roots is generated.  Its counts are below
+    # the cap ``2^COUNT_BITS`` and A8000's ideal count is past it, so at any
+    # digit limit the first are named in digits and the second as at least
+    # the cap.
     def generated(*args):
         raise AssertionError("generation started")
 
@@ -290,17 +295,17 @@ def test_budget_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys):
     a200 = ["--type", "A", "--rank", "200", "--allow-large"]
     lattice = f"A200 has {math.comb(402, 201) // 202:,} ideals, over the lattice budget of 250,000"
     pairs = "successor table of A200 considers {:,} member pairs, over its budget of 4,194,304"
-    for argv, error in (
-        (["ideals", *a200], lattice),
-        (["pair", *a200, "--complex", "ci-minus-ca", "--chain", "{20099}"], lattice),
-        (["chains", *a200, "--complex", "ca"], "the CA " + pairs.format((2**200 - 1) * (2**199 - 1))),
-        (["chains", *a200, "--complex", "cp"], "the CP " + pairs.format(3**200 - 2**201 + 1)),
-    ):
-        assert invoke(*argv) == (2, ""), argv
-        assert capsys.readouterr().err == f"error: {error}\n"
-    assert invoke("ideals", "--type", "A", "--rank", "8000", "--allow-large") == (2, "")
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: A8000 has over 2\^\d+ ideals, over the lattice budget of 250,000\n", err)
+    for _ in digit_limits():
+        for argv, error in (
+            (["ideals", *a200], lattice),
+            (["pair", *a200, "--complex", "ci-minus-ca", "--chain", "{20099}"], lattice),
+            (["chains", *a200, "--complex", "ca"], "the CA " + pairs.format((2**200 - 1) * (2**199 - 1))),
+            (["chains", *a200, "--complex", "cp"], "the CP " + pairs.format(3**200 - 2**201 + 1)),
+            (["ideals", "--type", "A", "--rank", "8000", "--allow-large"],
+             "A8000 has at least 2^2048 ideals, over the lattice budget of 250,000"),
+        ):
+            assert invoke(*argv) == (2, ""), argv
+            assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_output_determinism():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -32,13 +33,12 @@ from nilchain import (
 from nilchain import chains, cli, ideals, root_system
 from nilchain.chains import (
     ComplexKind,
-    _pairs_power,
     _successor_pairs,
     check_successor_budget,
     complex_family,
 )
-from nilchain.ideals import check_ideal_budget, count_text, ideal_count
-from nilchain.root_system import RootSystem, exponents
+from nilchain.ideals import COUNT_BITS, check_ideal_budget, ideal_count
+from nilchain.root_system import RootSystem, iter_exponents
 from nilchain.sums import _cr_cp_failure
 
 from conftest import ACCEPTANCE_SYSTEMS, system
@@ -464,31 +464,43 @@ def test_exponents_are_the_dual_partition_of_root_heights(family, ranks):
     for rank in ranks:
         rs = build_root_system(RootSystemSpec(family, rank), allow_large=True)
         heights = [r.height for r in rs.positive_roots]
-        exps = exponents(family, rank)
+        exps = tuple(iter_exponents(family, rank))
         assert len(exps) == rank
         for k in range(1, max(heights) + 2):
             assert sum(e >= k for e in exps) == heights.count(k), (family, rank, k)
 
 
-def test_ideal_count_stops_past_the_digit_limit():
-    # A partial product is below the count, so once it is past Python's
-    # int-to-str limit the product stops, and the odd lower bound returned
-    # is named as over a power of two.  Under the default limit, A3000's
-    # Catalan number (1,802 digits) is exact.
-    a3000 = RootSystemSpec("A", 3000)
-    exact = math.comb(6002, 3001) // 3002
-    assert ideal_count(a3000) == exact
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        bound = ideal_count(a3000)
-        text = count_text(bound, ",")
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert bound % 2 == 1 and bound < exact
-    k = int(text.removeprefix("over 2^"))
-    assert 10**640 < 2**k < bound
-    assert count_text(ideal_count(RootSystemSpec("A", 100_000))).startswith("over 2^")
+# Ideal counts in closed form: Catalan numbers of A, B (and C) and D.
+CATALAN = {
+    "A": lambda n: math.comb(2 * n + 2, n + 1) // (n + 2),
+    "B": lambda n: math.comb(2 * n, n),
+    "C": lambda n: math.comb(2 * n, n),
+    "D": lambda n: (3 * n - 2) * math.comb(2 * n - 2, n - 1) // n,
+}
+
+
+def test_ideal_count_stops_at_the_cap(digit_limits):
+    # Every factor is over 1, so once a partial product is past the cap
+    # ``2^COUNT_BITS`` the product stops and returns the cap.  Below it the
+    # count is exact: the last such types are A1030, B1026, C1026 and D1027.
+    cap = 1 << COUNT_BITS
+    for family, catalan in CATALAN.items():
+        counts = [catalan(rank) for rank in range(1020, 1040)]
+        assert min(counts) < cap < max(counts), family
+        for rank, count in zip(range(1020, 1040), counts):
+            assert ideal_count(RootSystemSpec(family, rank)) == min(count, cap), (family, rank)
+    # A refusal names a count below the cap in digits and one at it as at
+    # least the cap, at every digit limit.
+    for _ in digit_limits():
+        for rank, shown in [
+            (1030, f"{CATALAN['A'](1030):,}"),
+            (1031, "at least 2^2048"),
+            (3000, "at least 2^2048"),
+            (10**5, "at least 2^2048"),
+        ]:
+            with pytest.raises(SizeLimitExceeded) as exc:
+                check_ideal_budget(RootSystemSpec("A", rank))
+            assert str(exc.value) == f"A{rank} has {shown} ideals, over the lattice budget of 250,000"
 
 
 def test_size_gates_refuse_before_construction(monkeypatch, capsys):
@@ -562,73 +574,78 @@ def _no_generation(*args):
     raise AssertionError("generation started")
 
 
-def test_lattice_budget_of_a_huge_rank_builds_no_exponent_tuple(monkeypatch, capsys):
+def _refused_quickly(argv, capsys):
+    """``cli.run(argv)``'s stderr, after checking it exits 2 in under a second."""
+    started = time.perf_counter()
+    assert cli.run(argv, out=io.StringIO()) == 2
+    assert time.perf_counter() - started < 1, argv
+    return capsys.readouterr().err
+
+
+def test_lattice_budget_of_a_huge_rank_builds_no_exponent_tuple(monkeypatch, capsys, digit_limits):
     # The ideal count steps through the exponents (ranges for A, B and C,
-    # a range plus one value for D) and stops past the digit limit, so no
-    # tuple of ``rank`` exponents is built, and no root is generated.
+    # a range plus one value for D) and stops at the cap, so no tuple of
+    # ``rank`` exponents is built, and no root is generated, at any digit
+    # limit.
     monkeypatch.setattr(root_system, "_generate", _no_generation)
     rank = 10**6
-    tracemalloc.start()
-    try:
-        for family in "ABCD":
-            with pytest.raises(SizeLimitExceeded) as exc:
-                check_ideal_budget(RootSystemSpec(family, rank))
-            message = rf"{family}{rank} has over 2\^\d+ ideals, over the lattice budget of 250,000"
-            assert re.fullmatch(message, str(exc.value))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000, peak
-    for family, rank in [("A", 10**12), ("D", 10**8)]:
-        argv = ["ideals", "--type", family, "--rank", str(rank), "--allow-large"]
-        assert cli.run(argv, out=io.StringIO()) == 2
-        err = capsys.readouterr().err
-        assert re.fullmatch(rf"error: {family}{rank} has over 2\^\d+ ideals, over the lattice budget of 250,000\n", err)
+    for _ in digit_limits():
+        tracemalloc.start()
+        try:
+            for family in "ABCD":
+                with pytest.raises(SizeLimitExceeded) as exc:
+                    check_ideal_budget(RootSystemSpec(family, rank))
+                message = f"{family}{rank} has at least 2^2048 ideals, over the lattice budget of 250,000"
+                assert str(exc.value) == message
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+        for family, rank in [("A", 10**12), ("D", 10**8)]:
+            err = _refused_quickly(["ideals", "--type", family, "--rank", str(rank), "--allow-large"], capsys)
+            assert err == f"error: {family}{rank} has at least 2^2048 ideals, over the lattice budget of 250,000\n"
 
 
-def test_successor_budget_of_a_huge_rank_counts_no_pairs(monkeypatch, capsys):
-    # CA, CR and CP pairs are over ``2^_pairs_power`` from rank 4 on; past
-    # the digit limit that bound is named and nothing is counted.
+def test_successor_budget_of_a_huge_rank_counts_no_pairs(monkeypatch, capsys, digit_limits):
+    # CA, CR and CP are past the cap from rank ``COUNT_BITS`` on, so they
+    # are not counted there; at any rank a count at the cap is named as at
+    # least the cap, at any digit limit.
     monkeypatch.setattr(root_system, "_generate", _no_generation)
     spec = RootSystemSpec("A", 10**6)
-    tracemalloc.start()
-    try:
-        for kind, power in [(ComplexKind.CA, 1999998), (ComplexKind.CR, 1999998), (ComplexKind.CP, 1499999)]:
-            message = f"the {kind.name} successor table of A1000000 considers over 2^{power} member pairs"
-            with pytest.raises(SizeLimitExceeded, match=re.escape(message)):
-                check_successor_budget(spec, kind)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000, peak
-    for rank in range(1, 60):
-        for kind in (ComplexKind.CA, ComplexKind.CR, ComplexKind.CP):
-            small = RootSystemSpec("A", rank)
-            assert _successor_pairs(small, kind) > 2 ** _pairs_power(small, kind) or rank < 4
-    # A count is exact wherever it prints in digits, so those messages keep it.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        for rank in [*range(1335, 1345), *range(1700, 1715), 2000]:
-            big = RootSystemSpec("A", rank)
-            with pytest.raises(SizeLimitExceeded) as exc:
-                check_successor_budget(big, ComplexKind.CP)
-            pairs = _successor_pairs(big, ComplexKind.CP)
-            shown = str(exc.value).split(" considers ")[1].split(" member pairs")[0]
-            if count_text(pairs).isdigit():
-                assert shown == f"{pairs:,}", rank
-            else:
-                assert 2 ** int(shown.removeprefix("over 2^")) < pairs, rank
-    finally:
-        sys.set_int_max_str_digits(limit)
-    for complex_ in ("ca", "cp"):
-        argv = ["chains", "--type", "A", "--rank", "1000000000", "--complex", complex_, "--allow-large"]
-        assert cli.run(argv, out=io.StringIO()) == 2
-        power = 1499999999 if complex_ == "cp" else 1999999998
-        assert capsys.readouterr().err == (
-            f"error: the {complex_.upper()} successor table of A1000000000 considers "
-            f"over 2^{power} member pairs, over its budget of 4,194,304\n"
-        )
+    over = "member pairs, over its budget of 4,194,304"
+    cap = 1 << COUNT_BITS
+    # The last ranks under the cap: CI 518, CA and CR 1024, CP 1292.
+    exact = {
+        ComplexKind.CI: lambda r: (CATALAN["A"](r) - 1) * (CATALAN["A"](r) - 2) // 2,
+        ComplexKind.CA: lambda r: (2**r - 1) * (2 ** (r - 1) - 1),
+        ComplexKind.CR: lambda r: (2**r - 1) * (2 ** (r - 1) - 1),
+        ComplexKind.CP: lambda r: 3**r - 2 ** (r + 1) + 1,
+    }
+    last = {ComplexKind.CI: 518, ComplexKind.CA: 1024, ComplexKind.CR: 1024, ComplexKind.CP: 1292}
+    for _ in digit_limits():
+        tracemalloc.start()
+        try:
+            for kind in (ComplexKind.CA, ComplexKind.CR, ComplexKind.CP):
+                message = f"the {kind.name} successor table of A1000000 considers at least 2^2048 {over}"
+                with pytest.raises(SizeLimitExceeded, match=re.escape(message)):
+                    check_successor_budget(spec, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+        for kind, rank in last.items():
+            for r in (rank, rank + 1):
+                pairs = exact[kind](r)
+                assert (pairs < cap) == (r == rank), (kind, r)
+                shown = f"{pairs:,}" if r == rank else "at least 2^2048"
+                with pytest.raises(SizeLimitExceeded) as exc:
+                    check_successor_budget(RootSystemSpec("A", r), kind)
+                assert str(exc.value) == f"the {kind.name} successor table of A{r} considers {shown} {over}"
+        for complex_ in ("ca", "cp"):
+            argv = ["chains", "--type", "A", "--rank", "1000000000", "--complex", complex_, "--allow-large"]
+            assert _refused_quickly(argv, capsys) == (
+                f"error: the {complex_.upper()} successor table of A1000000000 considers at least 2^2048 {over}\n"
+            )
 
 
 def test_chain_commands_on_a11_stop_before_the_lattice(monkeypatch, capsys):

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -286,20 +285,21 @@ def test_ci_guard_refuses_before_the_addition_table(monkeypatch, capsys):
         a40.add_roots(0, 1)
 
 
-def test_ci_bound_of_a_huge_type_builds_no_wide_int():
+def test_ci_bound_of_a_huge_type_builds_no_wide_int(digit_limits):
     # A300000 has 45,000,150,000 positive roots.  ``2^N > max_chains`` is read
     # from the bit length of ``max_chains``, so the 5.6 GB int ``2^N`` is never
-    # built, and the refusal names the bound by its exponent.
+    # built, and the refusal names the bound by its exponent, at any digit limit.
     spec = RootSystemSpec("A", 300_000)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ChainLimitExceeded, match=r"at least 2\^45000150000 > 100000000 chains") as exc:
-            check_ci_bound(spec, ComplexKind.CI, 10**8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert exc.value.count is None
-    assert peak < 100_000, peak
+    for _ in digit_limits():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChainLimitExceeded, match=r"at least 2\^45000150000 > 100000000 chains") as exc:
+                check_ci_bound(spec, ComplexKind.CI, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.count is None
+        assert peak < 100_000, peak
     # The comparison is exact at the boundary: A3 has 2^6 CI chains at least.
     a3 = RootSystemSpec("A", 3)
     check_ci_bound(a3, ComplexKind.CI, 64)
@@ -308,25 +308,28 @@ def test_ci_bound_of_a_huge_type_builds_no_wide_int():
     assert exc.value.count == 64
 
 
-def test_ci_guard_names_a_bound_past_the_digit_limit(capsys):
-    # A80 has 3,240 positive roots, so its bound 2^3240 has 976 decimal
-    # digits.  Past Python's int-to-str limit, lowered here below that, the
-    # refusal names the bound as a power of two instead of failing on it.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
+def test_ci_guard_names_a_bound_past_the_cap(capsys, digit_limits):
+    # A bound ``2^N`` below the cap ``2^COUNT_BITS`` is named in digits, as
+    # for A63 (N = 2,016); past it, as for A64 (N = 2,080) and A80 (N =
+    # 3,240), it is named as a power of two and not built.  Both hold at
+    # every digit limit.
+    guard = (
+        "error: enumeration exceeds the chain guard: at least {} > {} chains; "
+        "raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed"
+    )
+    for _ in digit_limits():
+        for rank, count, shown in [(63, 1 << 2016, str(1 << 2016)), (64, None, "2^2080")]:
+            with pytest.raises(ChainLimitExceeded) as exc:
+                check_ci_bound(RootSystemSpec("A", rank), ComplexKind.CI, 10**8)
+            assert exc.value.count == count
+            assert f"error: {exc.value}" == guard.format(shown, 10**8)
         a80 = build_root_system(RootSystemSpec("A", 80), allow_large=True)
         with pytest.raises(ChainLimitExceeded, match=r"at least 2\^3240 > ") as exc:
             verify(a80)
-        assert exc.value.count == 1 << 3240
+        assert exc.value.count is None
         argv = ["verify", "--type", "A", "--rank", "80", "--allow-large"]
         assert cli.run(argv, out=io.StringIO()) == 2
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert capsys.readouterr().err == (
-        f"error: enumeration exceeds the chain guard: at least 2^3240 > {sums.DEFAULT_MAX_CHAINS} "
-        "chains; raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed\n"
-    )
+        assert capsys.readouterr().err == guard.format("2^3240", sums.DEFAULT_MAX_CHAINS) + "\n"
 
 
 @pytest.mark.parametrize("broken", [False, True])
