@@ -392,13 +392,15 @@ def check_ci_bound(spec: RootSystemSpec, kind: ComplexKind, max_chains: int) -> 
     ``2^N`` subsets is a CI chain.  ``N`` is read from the type, so no root
     is generated, and ``2^N > max_chains`` exactly when ``N`` is at least
     the bit length of ``max_chains``.  A bound below ``2^COUNT_BITS`` is
-    named in digits; past the cap, ``2^N`` is named and not built.
+    named in digits; past the cap, ``2^N`` is named and not built, and an
+    ``N`` at or past the cap is named by the lower bound ``2^(2^COUNT_BITS)``.
     """
     if kind is ComplexKind.CI:
         n = classical_positive_root_count(spec.family, spec.rank)
         if n >= max_chains.bit_length():
             bound = 1 << n if n < COUNT_BITS else None
-            raise ChainLimitExceeded(max_chains, bound, f"at least {bound or f'2^{n}'}")
+            exponent = n if n < 1 << COUNT_BITS else f"(2^{COUNT_BITS})"
+            raise ChainLimitExceeded(max_chains, bound, f"at least {bound or f'2^{exponent}'}")
 
 
 def guarded_family(

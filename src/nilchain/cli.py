@@ -25,7 +25,6 @@ from .chains import (
     enumerate_chains,
 )
 from .ideals import (
-    COUNT_BITS,
     Ideal,
     IdealLattice,
     SizeLimitExceeded,
@@ -34,14 +33,15 @@ from .ideals import (
     enumerate_ideals,
     ideal_lattice,
 )
-from .root_system import RootSystem, RootSystemSpec, build_root_system, check_size_gate
+from .root_system import COUNT_BITS, RootSystem, RootSystemSpec, build_root_system, check_size_gate
 from .sums import DEFAULT_MAX_CHAINS, verify
 
 ENV_MAX_CHAINS = "NILCHAIN_MAX_CHAINS"
 
-# An integer input with more digits than ``2^COUNT_BITS`` (617) is refused as
-# out of range by its digit count; a shorter one reads at any int-to-str
-# digit limit Python allows.
+# An integer input (``--rank``, ``--max-chains``, ``NILCHAIN_MAX_CHAINS``, a
+# chain literal's root index) with more digits than ``2^COUNT_BITS`` (617) is
+# refused as out of range by its digit count, unread; a shorter one reads at
+# any int-to-str digit limit Python allows.
 _MAX_DIGITS = len(str(1 << COUNT_BITS))
 
 
@@ -49,9 +49,25 @@ class UsageError(ValueError):
     pass
 
 
+def _past_max_digits(digits: str) -> bool:
+    """Whether ``digits``, an integer's unsigned digits, are refused by the rule above."""
+    return len(digits) > _MAX_DIGITS and digits.isascii() and digits.isdigit()
+
+
+def _read_int(text: str, name: str) -> int:
+    """``text`` read as an integer; ``UsageError`` naming ``name`` if it is none or out of range."""
+    digits = text.strip().lstrip("+-").replace("_", "")
+    if _past_max_digits(digits):
+        raise UsageError(f"{name} is out of range: a {len(digits)}-digit integer")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"{name} must be an integer, got {text!r}") from exc
+
+
 def _spec(args: argparse.Namespace) -> RootSystemSpec:
     try:
-        spec = RootSystemSpec(args.type.upper(), args.rank)
+        spec = RootSystemSpec(args.type.upper(), _read_int(args.rank, "--rank"))
         check_size_gate(spec, args.allow_large)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -78,23 +94,16 @@ def _guarded_build(args: argparse.Namespace, kind: ComplexKind) -> tuple[RootSys
 
 
 def _max_chains(args: argparse.Namespace) -> int:
+    """The chain limit: the flag, else the environment, else ``DEFAULT_MAX_CHAINS``."""
+    name, text = "--max-chains", args.max_chains
+    if text is None:
+        name, text = ENV_MAX_CHAINS, os.environ.get(ENV_MAX_CHAINS)
+        if text is None:
+            return DEFAULT_MAX_CHAINS
+    limit = _read_int(text, name)
     # Every complex has the empty chain, so a limit below 1 can never pass.
-    if args.max_chains is not None:
-        if args.max_chains < 1:
-            raise UsageError(f"--max-chains must be at least 1, got {args.max_chains}")
-        return args.max_chains
-    env = os.environ.get(ENV_MAX_CHAINS)
-    if env is None:
-        return DEFAULT_MAX_CHAINS
-    digits = env.strip().lstrip("+-")
-    if len(digits) > _MAX_DIGITS and digits.isascii() and digits.isdigit():
-        raise UsageError(f"{ENV_MAX_CHAINS} is out of range: a {len(digits)}-digit integer")
-    try:
-        limit = int(env)
-    except ValueError as exc:
-        raise UsageError(f"{ENV_MAX_CHAINS} must be an integer, got {env!r}") from exc
     if limit < 1:
-        raise UsageError(f"{ENV_MAX_CHAINS} must be at least 1, got {limit}")
+        raise UsageError(f"{name} must be at least 1, got {limit}")
     return limit
 
 
@@ -151,7 +160,7 @@ def parse_chain_literal(rs: RootSystem, text: str) -> Chain:
                     pos += 1
                 if pos == start:
                     raise fail("a root index")
-                if pos - start > _MAX_DIGITS:
+                if _past_max_digits(s[start:pos]):
                     raise UsageError(
                         f"invalid chain member: the {pos - start}-digit root index at position "
                         f"{offset + start} is out of range for {rs.spec}"
@@ -436,7 +445,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
         p.add_argument("--type", required=True, help="family letter A..G")
-        p.add_argument("--rank", required=True, type=int)
+        p.add_argument("--rank", required=True)
         p.add_argument("--format", choices=list(formats), default="human")
         p.add_argument(
             "--allow-large",
@@ -459,7 +468,7 @@ def _parser() -> argparse.ArgumentParser:
     p_chains = sub.add_parser("chains", help="stream the chains of a complex")
     common(p_chains, ("human", "json"))
     p_chains.add_argument("--complex", required=True, choices=[k.value for k in ComplexKind])
-    p_chains.add_argument("--max-chains", type=int, default=None)
+    p_chains.add_argument("--max-chains")
 
     p_pair = sub.add_parser("pair", help="apply a sign-reversing pairing to a chain")
     common(p_pair, ("human", "json"))
@@ -472,7 +481,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full identity suite")
     common(p_verify, ("human", "json", "csv"))
-    p_verify.add_argument("--max-chains", type=int, default=None)
+    p_verify.add_argument("--max-chains")
 
     return parser
 

@@ -24,19 +24,15 @@ from itertools import compress, islice
 from operator import eq
 from typing import Iterable, Iterator, Union
 
-from .root_system import RootSystem, RootSystemSpec, coxeter_number, iter_exponents
+from .root_system import (
+    COUNT_BITS, RootSystem, RootSystemSpec, count_text, coxeter_number, iter_exponents
+)
 
 ParabolicType = frozenset[int]
 
 # The most ideals a lattice is built for: A11 (208,012) fits, A12 (742,900)
 # does not.  A11's lattice builds in about a second at 55 MB max RSS.
 MAX_IDEALS = 250_000
-
-# Counts are computed exactly only below ``2^COUNT_BITS``.  Such a count has
-# at most 617 digits, so it prints at every int-to-str digit limit Python
-# allows (640 digits or more, or none); a budget refuses a count at the cap
-# without finishing it.
-COUNT_BITS = 2048
 
 
 class SizeLimitExceeded(RuntimeError):
@@ -61,11 +57,6 @@ def ideal_count(system: Union[RootSystem, RootSystemSpec]) -> int:
         if num > den << COUNT_BITS:
             return 1 << COUNT_BITS
     return num // den
-
-
-def count_text(count: int) -> str:
-    """``count`` with thousands separators, or at the cap ``at least 2^COUNT_BITS``."""
-    return f"at least 2^{COUNT_BITS}" if count >= 1 << COUNT_BITS else f"{count:,}"
 
 
 def check_ideal_budget(spec: RootSystemSpec) -> None:

@@ -33,6 +33,12 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 # enumeration above this size is out of reach anyway.
 DEFAULT_MAX_POSITIVE_ROOTS = 64
 
+# Counts are computed exactly only below ``2^COUNT_BITS``.  Such a count has
+# at most 617 digits, so it prints at every int-to-str digit limit Python
+# allows (640 digits or more, or none); a budget refuses a count at the cap
+# without finishing it.
+COUNT_BITS = 2048
+
 _RANK_RANGE = {
     "A": (1, None),
     "B": (2, None),
@@ -330,6 +336,11 @@ def _addition_table(positive_roots: tuple[Root, ...]) -> dict[tuple[int, int], i
     return addition
 
 
+def count_text(count: int, separator: str = ",") -> str:
+    """``count`` in digits grouped by ``separator``, or at the cap ``at least 2^COUNT_BITS``."""
+    return f"at least 2^{COUNT_BITS}" if count >= 1 << COUNT_BITS else f"{count:{separator}}"
+
+
 def check_size_gate(spec: RootSystemSpec, allow_large: bool) -> int:
     """The positive-root count of ``spec``, which must pass the size gate.
 
@@ -342,7 +353,7 @@ def check_size_gate(spec: RootSystemSpec, allow_large: bool) -> int:
     if not allow_large:
         if count > DEFAULT_MAX_POSITIVE_ROOTS or (spec.family == "E" and spec.rank >= 7):
             raise ValueError(
-                f"{spec} has {count} positive roots, above the default gate; "
+                f"{spec} has {count_text(count, '')} positive roots, above the default gate; "
                 "pass allow_large=True (CLI: --allow-large) to build it anyway"
             )
     return count

@@ -34,11 +34,6 @@ DEFAULT_MAX_CHAINS = 10**8
 # 3.11), so a fork and its reap, about 2.5 ms, cost under 1% of it.
 FORK_MIN_CHAINS = 10**5
 
-# A part of the CI chain tree: a chain, and whether every chain extending it
-# comes with it.
-Part = tuple[tuple[int, ...], bool]
-
-
 class SumVector:
     """A finitely supported integer vector indexed by parabolic types."""
 
@@ -264,11 +259,17 @@ class _InvolutionStats:
         return ""
 
 
-def _walk_parts(
-    lat: IdealLattice, succ: tuple[tuple[int, ...], ...], parts: Iterable[Part]
+def _walk_window(
+    lat: IdealLattice, ci: _Tally, lo: int, hi: int
 ) -> tuple[_InvolutionStats, _InvolutionStats]:
-    """Walk the CI chains of ``parts`` in order and test both pairings on them.
+    """Walk the CI chains at positions ``lo`` to ``hi - 1`` of the serial walk order.
 
+    The chains are those of the CI tally ``ci`` (see ``_summarize``), the
+    empty one left out.  The serial walk takes each chain before those
+    extending it, in the order of their next member, so the chains whose
+    smallest member is ``m`` fill ``starting[m]`` positions in a row (see
+    ``chains_starting_at``).  A subtree of chains outside the window is
+    skipped by that count, and one inside it is walked without being cut.
     Each domain's chains are tallied per stabilizer bitmask and parity, and
     ``broken_law`` tests the even-length ones (see there why that suffices).
     """
@@ -277,85 +278,42 @@ def _walk_parts(
     # Read from the module at each call, so a pairing patched there is the one tested.
     pair_nonab = pair_nonabelian_ids
     pair_nonrad = pair_nonradical_ids
+    succ = ci.succ
+    starting = chains_starting_at(ci.ids, succ)
     abelian = lat.abelian
     radical = lat.radical
     norm_bits = lat.normalizer_bits
     nonab_tally = nonab.tally
     nonrad_tally = nonrad.tally
 
-    def walker(succ: tuple[tuple[int, ...], ...]):
-        def walk(chain: tuple[int, ...], stab: int, all_radical: bool, even: int, nexts) -> None:
-            # ``even`` is 1 when the children of ``chain`` have even length.
-            for nxt in nexts:
+    def walk(chain: tuple[int, ...], stab: int, all_radical: bool, even: int, nexts, pos) -> None:
+        # ``even`` is 1 when the children of ``chain`` have even length, and
+        # ``pos`` is the position of the first of them.
+        for nxt in nexts:
+            if pos >= hi:
+                return
+            end = pos + starting[nxt]
+            if end > lo:
                 child = chain + (nxt,)
                 child_stab = stab & norm_bits[nxt]
                 child_radical = all_radical and radical[nxt]
-                key = child_stab << 1 | even
-                if not abelian[nxt]:
-                    nonab_tally[key] += 1
-                    if even and broken_law(lat, pair_nonab, True, child, child_stab):
-                        nonab.failed_even += 1
-                        nonab.first_failure = nonab.first_failure or child
-                if not child_radical:
-                    nonrad_tally[key] += 1
-                    if even and broken_law(lat, pair_nonrad, False, child, child_stab):
-                        nonrad.failed_even += 1
-                        nonrad.first_failure = nonrad.first_failure or child
-                walk(child, child_stab, child_radical, 1 - even, succ[nxt])
+                if pos >= lo:
+                    key = child_stab << 1 | even
+                    if not abelian[nxt]:
+                        nonab_tally[key] += 1
+                        if even and broken_law(lat, pair_nonab, True, child, child_stab):
+                            nonab.failed_even += 1
+                            nonab.first_failure = nonab.first_failure or child
+                    if not child_radical:
+                        nonrad_tally[key] += 1
+                        if even and broken_law(lat, pair_nonrad, False, child, child_stab):
+                            nonrad.failed_even += 1
+                            nonrad.first_failure = nonrad.first_failure or child
+                walk(child, child_stab, child_radical, 1 - even, succ[nxt], pos + 1)
+            pos = end
 
-        return walk
-
-    # A part without its extensions is walked over a table with no successors.
-    walks = {True: walker(succ), False: walker(((),) * len(succ))}
-    for prefix, whole in parts:
-        stab, all_radical = lat.full_simple_bits, True
-        for i in prefix[:-1]:
-            stab &= norm_bits[i]
-            all_radical = all_radical and radical[i]
-        walks[whole](prefix[:-1], stab, all_radical, 1 - len(prefix) % 2, prefix[-1:])
+    walk((), lat.full_simple_bits, True, 0, ci.ids, 0)
     return nonab, nonrad
-
-
-def _ci_runs(
-    ids: tuple[int, ...],
-    succ: tuple[tuple[int, ...], ...],
-    starting: Mapping[int, int],
-    workers: int,
-) -> list[list[Part]]:
-    """The CI chain tree cut into at most ``workers`` runs of parts, in walk order.
-
-    A part ``(prefix, whole)`` is the chain ``prefix``, with every chain
-    extending it if ``whole``.  Those are the chains starting at its last
-    member, ``starting`` of it.  Each first-level part holding more than a
-    quarter of one worker's share is replaced by its prefix alone and the
-    parts of its one-member extensions, and so on down.  Runs are then
-    handed out in order, each ending at the first part that takes the
-    chains walked so far to its multiple of a share.
-    """
-    total = sum(starting.values())
-    limit = total // (4 * workers)
-    parts: list[tuple[Part, int]] = []
-
-    def cut(prefix: tuple[int, ...], nexts: tuple[int, ...]) -> None:
-        for i in nexts:
-            part = prefix + (i,)
-            if starting[i] <= limit or not succ[i]:
-                parts.append(((part, True), starting[i]))
-            else:
-                parts.append(((part, False), 1))
-                cut(part, succ[i])
-
-    cut((), ids)
-    runs: list[list[Part]] = []
-    run: list[Part] = []
-    done = 0
-    for part, chains in parts:
-        run.append(part)
-        done += chains
-        if done * workers >= total * (len(runs) + 1):
-            runs.append(run)
-            run = []
-    return runs
 
 
 def _worker_count() -> int:
@@ -366,17 +324,15 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _work(
-    lat: IdealLattice, succ: tuple[tuple[int, ...], ...], run: list[Part], write: int
-) -> NoReturn:
-    """In a forked worker: walk ``run``, send both stats through ``write``, and exit.
+def _work(lat: IdealLattice, ci: _Tally, window: tuple[int, int], write: int) -> NoReturn:
+    """In a forked worker: walk ``window``, send both stats through ``write``, and exit.
 
     The exit status is 0 once the stats are sent, else 1.  ``os._exit``
     runs no ``finally``, atexit handler or buffer flush of the parent's.
     """
     status = 1
     try:
-        stats = _walk_parts(lat, succ, run)
+        stats = _walk_window(lat, ci, *window)
         with open(write, "wb") as pipe:
             pipe.write(marshal.dumps([(s.tally, s.failed_even, s.first_failure) for s in stats]))
         status = 0
@@ -395,42 +351,42 @@ def _received(data: bytes) -> Optional[list[_InvolutionStats]]:
 def _walk_ci(lat: IdealLattice, ci: _Tally) -> tuple[_InvolutionStats, _InvolutionStats]:
     """Walk every CI chain once and test both pairings; the caller guards the total.
 
-    The chains are those of the CI tally ``ci`` (see ``_summarize``).  With
-    ``FORK_MIN_CHAINS`` chains or more, ``os.fork`` and more than one
-    usable CPU, the walk is split into runs (see ``_ci_runs``), one per
-    CPU.  The first run is walked here and each other one in a forked
-    worker.  The stats are added up in walk order, so the first failure is
-    the serial walk's.  The run of a worker that exits non-zero or sends a
-    short result is walked again here, so an error raised is the serial
-    walk's own.  No worker outlives the call: each is reaped, and killed
-    first if this process raises.
+    The chains are those of the CI tally ``ci`` (see ``_summarize``), ``T``
+    of them without the empty one.  With ``FORK_MIN_CHAINS`` chains or
+    more, ``os.fork`` and ``W > 1`` usable CPUs, the serial walk order is
+    cut into ``W`` windows (see ``_walk_window``): window ``k`` holds
+    positions ``kT/W`` to ``(k+1)T/W - 1``.  The first is walked here and
+    each other one in a forked worker.  The stats are added up in walk
+    order, so the first failure is the serial walk's.  The window of a
+    worker that exits non-zero or sends a short result is walked again
+    here, so an error raised is the serial walk's own.  No worker outlives
+    the call: each is reaped, and killed first if this process raises.
     """
-    ids, succ = ci.ids, ci.succ
+    total = ci.summary.total - 1
     workers = _worker_count()
-    # The empty chain is walked by no part.
-    if ci.summary.total - 1 < FORK_MIN_CHAINS or workers < 2 or not hasattr(os, "fork"):
-        return _walk_parts(lat, succ, [((i,), True) for i in ids])
-    runs = _ci_runs(ids, succ, chains_starting_at(ids, succ), workers)
+    if total < FORK_MIN_CHAINS or workers < 2 or not hasattr(os, "fork"):
+        workers = 1
+    windows = [(k * total // workers, (k + 1) * total // workers) for k in range(workers)]
     pids: list[int] = []
     pipes = []
     try:
-        for run in runs[1:]:
+        for window in windows[1:]:
             read, write = os.pipe()
             pid = os.fork()
             if not pid:
-                _work(lat, succ, run, write)
+                _work(lat, ci, window, write)
             pids.append(pid)
             os.close(write)
             pipes.append(open(read, "rb"))
-        nonab, nonrad = _walk_parts(lat, succ, runs[0])
-        for run, pipe in zip(runs[1:], pipes):
+        nonab, nonrad = _walk_window(lat, ci, *windows[0])
+        for window, pipe in zip(windows[1:], pipes):
             data = pipe.read()
             pipe.close()
             status = os.waitpid(pids[0], 0)[1]
             del pids[0]
             later = _received(data) if status == 0 else None
             if later is None:
-                later = _walk_parts(lat, succ, run)
+                later = _walk_window(lat, ci, *window)
             nonab.extend(later[0])
             nonrad.extend(later[1])
     except BaseException:

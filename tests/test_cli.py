@@ -250,6 +250,51 @@ def test_max_chains_env_past_the_digit_limit(monkeypatch, capsys, digit_limits):
     assert capsys.readouterr().err == "error: NILCHAIN_MAX_CHAINS must be an integer, got 'xxx'\n"
 
 
+def test_integer_flags_past_the_digit_limit(monkeypatch, capsys, digit_limits):
+    # ``--rank`` and ``--max-chains`` follow the env value's digit rule: a
+    # 5,000-digit value is refused as out of range by its digit count, on
+    # one short line, at any int-to-str digit limit.
+    monkeypatch.delenv("NILCHAIN_MAX_CHAINS", raising=False)
+    nines = "9" * 5000
+    for _ in digit_limits():
+        for argv, name in (
+            (["verify", "--type", "A", "--rank", "2", "--max-chains", nines], "--max-chains"),
+            (["chains", "--type", "A", "--rank", "2", "--complex", "ci", "--max-chains", nines], "--max-chains"),
+            (["verify", "--type", "A", "--rank", nines], "--rank"),
+            (["roots", "--type", "A", "--rank", "+" + nines], "--rank"),
+        ):
+            assert invoke(*argv) == (2, ""), argv
+            assert capsys.readouterr().err == f"error: {name} is out of range: a 5000-digit integer\n"
+    assert invoke("verify", "--type", "A", "--rank", "2.0") == (2, "")
+    assert capsys.readouterr().err == "error: --rank must be an integer, got '2.0'\n"
+    assert invoke("verify", "--type", "A", "--rank", "2", "--max-chains", "x") == (2, "")
+    assert capsys.readouterr().err == "error: --max-chains must be an integer, got 'x'\n"
+
+
+def test_counts_of_a_400_digit_rank_print_at_every_digit_limit(monkeypatch, capsys, digit_limits):
+    # A 400-digit rank is within the digit rule, and its root count ``N`` has
+    # about 800 digits, past the cap ``2^COUNT_BITS``: the size gate names
+    # it as at least the cap, and the CI bound ``2^N`` as at least
+    # ``2^(2^COUNT_BITS)``, even where the digit limit is 640.
+    def generated(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(root_system, "_generate", generated)
+    monkeypatch.delenv("NILCHAIN_MAX_CHAINS", raising=False)
+    rank = "9" * 400
+    gate = f"error: A{rank} has at least 2^2048 positive roots, above the default gate; "
+    bound = (
+        "error: enumeration exceeds the chain guard: at least 2^(2^2048) > 100000000 chains; "
+        "raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed\n"
+    )
+    for _ in digit_limits():
+        assert invoke("roots", "--type", "A", "--rank", rank) == (2, "")
+        assert capsys.readouterr().err.startswith(gate)
+        for command in (["verify"], ["chains", "--complex", "ci"]):
+            assert invoke(*command, "--type", "A", "--rank", rank, "--allow-large") == (2, "")
+            assert capsys.readouterr().err == bound
+
+
 def test_ci_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys, digit_limits):
     # The CI bound 2^N needs only N, the sum of the exponents, so A200 is
     # refused before any of its 20,100 roots is generated, at any digit

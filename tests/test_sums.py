@@ -6,6 +6,8 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,6 @@ from nilchain import (
 )
 from nilchain import chains, cli, ideals, pairings, root_system, sums
 from nilchain.chains import (
-    chains_starting_at,
     check_ci_bound,
     complex_family,
     count_index_chains,
@@ -779,31 +780,56 @@ def test_forked_verify_matches_in_process_on_a4(monkeypatch):
     assert _verify_each_way(monkeypatch, rs).ok
 
 
+@lru_cache(maxsize=None)
+def _recorded_walk(family, rank, workers):
+    """The windows ``verify`` walks split across ``workers``, and a hash of their pairing calls.
+
+    Every worker fails, so each window is walked again here, in walk order,
+    by the function a worker runs.  A window is ``(lo, hi, calls)``; the
+    pairings record the chains handed to them in one running hash, so D4's
+    million calls are not held.
+    """
+    windows = []
+    state = [0]
+
+    def recording(name):
+        def pair(lat, ids):
+            state[0] = hash((state[0], name, ids))
+            windows[-1][2] += 1
+            return ids
+
+        return pair
+
+    real_walk = sums._walk_window
+
+    def walk_window(lat, ci, lo, hi):
+        windows.append([lo, hi, 0])
+        return real_walk(lat, ci, lo, hi)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sums, "pair_nonabelian_ids", recording("nonabelian"))
+        m.setattr(sums, "pair_nonradical_ids", recording("nonradical"))
+        m.setattr(sums, "_walk_window", walk_window)
+        m.setattr(sums, "_work", lambda *args: os._exit(1))
+        _walk_mode(m, workers)
+        verify(system(family, rank))
+    _assert_no_child_left()
+    return [tuple(window) for window in windows], state[0]
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 4)])
 @pytest.mark.parametrize("workers", [2, 3])
-def test_runs_cover_every_ci_chain_once_in_walk_order(family, rank, workers):
-    rs = system(family, rank)
-    ids, succ, _ = complex_family(rs, ComplexKind.CI)
-    starting = chains_starting_at(ids, succ)
-    runs = sums._ci_runs(ids, succ, starting, workers)
-    assert len(runs) == workers and all(runs)
-    parts = [part for run in runs for part in run]
-    sizes = [starting[prefix[-1]] if whole else 1 for prefix, whole in parts]
-    total = count_index_chains(ids, succ) - 1  # the empty chain is in no part
-    assert sum(sizes) == total
-    assert max(sizes) <= max(1, total // (4 * workers))
-    # Walk order is the order of prefixes, and a part with its extensions
-    # is followed by none of them, so the parts' chains are disjoint.
-    for (prefix, whole), (later, _) in zip(parts, parts[1:]):
-        assert prefix < later
-        assert not (whole and later[: len(prefix)] == prefix)
-    if total < 10**4:
-        walked = [
-            prefix + chain
-            for prefix, whole in parts
-            for chain in iter_index_chains(succ[prefix[-1]] if whole else (), succ)
-        ]
-        assert walked == list(iter_index_chains(ids, succ))[1:]
+def test_windows_hand_the_pairings_the_serial_walks_chains(family, rank, workers):
+    total = count_index_chains(*complex_family(system(family, rank), ComplexKind.CI)[:2]) - 1
+    windows, state = _recorded_walk(family, rank, workers)
+    (whole,), serial_state = _recorded_walk(family, rank, 1)
+    assert whole == (0, total, whole[2])
+    edges = [0] + [hi for _, hi, _ in windows]
+    assert [lo for lo, _, _ in windows] == edges[:-1] and edges[-1] == total
+    sizes = [hi - lo for lo, hi, _ in windows]
+    assert len(sizes) == workers and max(sizes) - min(sizes) <= 1
+    assert all(calls for *_, calls in windows)
+    assert state == serial_state and sum(calls for *_, calls in windows) == whole[2]
 
 
 def test_forked_walk_pairs_outside_this_process(monkeypatch):
@@ -826,23 +852,40 @@ def test_forked_walk_pairs_outside_this_process(monkeypatch):
         assert 0 < calls[name] < checked
 
 
+@pytest.mark.parametrize(
+    "cut", [lambda data: data[: len(data) // 2], lambda data: b""], ids=["truncated", "empty"]
+)
+def test_short_worker_result_is_walked_again(monkeypatch, cut):
+    # The workers inherit the patched ``marshal`` and send a truncated or an
+    # empty payload with exit status 0; each is received as ``None`` and its
+    # window is walked again here.
+    real, real_received = sums.marshal, sums._received
+    received = []
+
+    def receiving(data):
+        received.append(real_received(data))
+        return received[-1]
+
+    short = SimpleNamespace(dumps=lambda stats: cut(real.dumps(stats)), loads=real.loads)
+    monkeypatch.setattr(sums, "marshal", short)
+    monkeypatch.setattr(sums, "_received", receiving)
+    assert _verify_each_way(monkeypatch, system("B", 3)).ok
+    assert received == [None] * 3  # one worker of 2, two of 3
+
+
 @pytest.mark.parametrize("workers, run", [(2, 0), (2, 1), (3, 1)])
 def test_walk_error_is_raised_as_in_process_and_no_worker_is_left(monkeypatch, workers, run):
-    # The pairing raises on one even-length chain of one run: in this
-    # process for run 0, else in a worker, whose run is walked again here.
-    # Partners are odd, so only the walk itself pairs that chain.  Chains
-    # are walked in the order of their id tuples.  When this process
-    # raises, each worker stalls once, so only killing them ends the call early.
+    # The pairing raises on one even-length chain of one window: in this
+    # process for window 0, else in a worker, whose window is walked again
+    # here.  Partners are odd, so only the walk itself pairs that chain.
+    # Window ``k`` holds the chains at serial walk positions ``kT/W`` to
+    # ``(k+1)T/W - 1``.  When this process raises, each worker stalls once,
+    # so only killing them ends the call early.
     rs = system("B", 3)
     lat = ideal_lattice(rs)
-    ids, succ, _ = complex_family(rs, ComplexKind.CI)
-    runs = sums._ci_runs(ids, succ, chains_starting_at(ids, succ), workers)
-    target = next(
-        c
-        for c in iter_index_chains(ids, succ)
-        if c >= runs[run][0][0] and len(c) % 2 == 0 and not lat.abelian[c[-1]]
-    )
-    assert run + 1 == workers or target < runs[run + 1][0][0]
+    serial = list(iter_index_chains(*complex_family(rs, ComplexKind.CI)[:2]))[1:]
+    lo, hi = run * len(serial) // workers, (run + 1) * len(serial) // workers
+    target = next(c for c in serial[lo:hi] if len(c) % 2 == 0 and not lat.abelian[c[-1]])
     real = sums.pair_nonabelian_ids
     here = os.getpid()
     stalled = []
