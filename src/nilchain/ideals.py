@@ -20,23 +20,21 @@ over ``MAX_IDEALS`` ideals is refused before anything is built
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import compress, islice
 from operator import eq
 from typing import Iterable, Iterator, Union
 
 from .root_system import (
-    COUNT_BITS, RootSystem, RootSystemSpec, count_text, coxeter_number, iter_exponents
+    COUNT_BITS, RootSystem, RootSystemSpec, SizeLimitExceeded, count_text, coxeter_number,
+    iter_exponents,
 )
 
 ParabolicType = frozenset[int]
 
 # The most ideals a lattice is built for: A11 (208,012) fits, A12 (742,900)
-# does not.  A11's lattice builds in about a second at 55 MB max RSS.
+# does not.  A11's lattice builds in about 0.5 s at 52 MB max RSS.
 MAX_IDEALS = 250_000
-
-
-class SizeLimitExceeded(RuntimeError):
-    """Raised before building a lattice or a successor table over its budget."""
 
 
 def ideal_count(system: Union[RootSystem, RootSystemSpec]) -> int:
@@ -202,21 +200,22 @@ def _ideal_tables(rs: RootSystem) -> tuple[list[int], dict[int, int], list[int],
         sums[a].append((b, c))
         partners[a] |= 1 << b
     contributions: list[dict[int, int]] = [{} for _ in range(m)]
-    width = m + 1
-    spread = sum(1 << (i * width) for i in range(rank))
-    ones, carry = ((1 << m) - 1) * spread, (1 << m) * spread
-    keep = [~((1 << r) * spread) for r in range(m)]
-    down = [0] * m
+    # Lane ``i`` is ``width`` bits from ``lane[i]``: its bound's bits and a spare top bit.
+    bound = max(Counter(i for _, i in rs.simple_step_table).values(), default=0) + 1
+    width = bound.bit_length() + 1
+    lane = [1 << (i * width) for i in range(rank)]
+    step = [0] * m
     for (c, i), up in rs.simple_step_table.items():
-        down[up] |= 1 << (c + (i - 1) * width)
+        step[up] += lane[i - 1]
+        step[c] -= lane[i - 1]
     for i in range(rank):
-        a = rs.simple_root_index(i + 1)
-        down[a] |= 1 << (a + i * width)
+        step[rs.simple_root_index(i + 1)] += lane[i]
+    carry = sum(lane) << (width - 1)
+    ones = carry - sum(lane)
     full = (1 << rank) - 1
     blocked = {0: full}
     for i in range(rank):
-        lane = 1 << (m + i * width)
-        blocked.update([(k | lane, v ^ (1 << i)) for k, v in blocked.items()])
+        blocked.update([(k | lane[i] << (width - 1), v ^ (1 << i)) for k, v in blocked.items()])
     # ``first[low]`` is the first root at most one height below ``low``; the
     # zero ideal's ``low`` is ``m``, one height past the top.
     heights = [root.height for root in rs.positive_roots] + [rs.positive_roots[-1].height + 1]
@@ -238,7 +237,7 @@ def _ideal_tables(rs: RootSystem) -> tuple[list[int], dict[int, int], list[int],
                     # Distinct partners give distinct sums, so adding the bits ORs them.
                     new = contributions[r][key] = sum(1 << c for b, c in sums[r] if key >> b & 1)
                 d = ds | new
-                e = es & keep[r] | down[r]
+                e = es + step[r]
                 index[t] = len(masks)
                 masks.append(t)
                 derived.append(index[d])
@@ -359,21 +358,18 @@ class IdealLattice:
     The normalizer bits follow the same recursion, on one packed int per
     ideal.  Simple position ``i`` is in the normalizer of ``t`` exactly when
     ``alpha_i`` is not in ``t`` and no root ``c`` outside ``t`` has
-    ``c + alpha_i`` in ``t``.  With ``m`` positive roots, lane ``i`` of
-    ``escape(t)`` is bits ``i(m+1)`` to ``i(m+1) + m - 1``; bit ``c`` of it
-    is set for each such root ``c``, and bit ``alpha_i`` once ``alpha_i``
-    is in ``t``.  So ``i`` is in the normalizer exactly when lane ``i`` is
-    zero.  Going from ``s`` to ``t``, ``r`` leaves every lane, since it is
-    now in ``t``.  The only root that can join lane ``i`` is ``r - alpha_i``,
-    when that is a root, as its step by ``alpha_i`` lands on ``r``; it is
-    lower than ``r``, a lowest root of ``t``, so it is outside ``t``.  And
-    ``alpha_i`` joins lane ``i`` when ``r = alpha_i``.  With ``down[r]``
-    holding those bits,
+    ``c + alpha_i`` in ``t``; lane ``i`` of ``escape(t)`` counts those roots,
+    plus one once ``alpha_i`` is in ``t``, so it is zero exactly then.
+    Adding ``r`` moves lane ``i`` one up if ``r - alpha_i`` is a root (lower
+    than ``r``, so outside ``t``), one down if ``r + alpha_i`` is a root (in
+    ``s``, as ``r`` was addable, so ``r`` counted until now), and one up if
+    ``r = alpha_i``.  With ``step[r]`` holding those amounts,
 
-        escape(t) = escape(s) & ~(bit r in every lane) | down[r].
+        escape(t) = escape(s) + step[r].
 
-    The spare top bit of each lane reads it: adding ``2^m - 1`` to every
-    lane carries into the spare bit exactly when the lane is nonzero, and
+    A lane counts at most one more than the roots with an ``alpha_i`` step,
+    in ``b`` bits for the largest such bound, so adding ``2^b - 1`` to every
+    lane carries into a spare top bit exactly when the lane is nonzero, and
     never into the next lane.  One lookup in a table of ``2^rank`` entries
     turns those carries into the normalizer bits.
 

@@ -33,6 +33,10 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 # enumeration above this size is out of reach anyway.
 DEFAULT_MAX_POSITIVE_ROOTS = 64
 
+# The most coefficients a root table holds, positive roots times rank, past
+# the gate: A200 (4,020,000) fits, A300 (13,455,000) does not.
+MAX_ROOT_COEFFICIENTS = 5_000_000
+
 # Counts are computed exactly only below ``2^COUNT_BITS``.  Such a count has
 # at most 617 digits, so it prints at every int-to-str digit limit Python
 # allows (640 digits or more, or none); a budget refuses a count at the cap
@@ -57,6 +61,10 @@ _EXCEPTIONAL_EXPONENTS = {
     ("F", 4): (1, 5, 7, 11),
     ("G", 2): (1, 5),
 }
+
+
+class SizeLimitExceeded(RuntimeError):
+    """Raised before building a root table, a lattice or a successor table over its budget."""
 
 
 def iter_exponents(family: str, rank: int) -> Iterable[int]:
@@ -362,9 +370,15 @@ def check_size_gate(spec: RootSystemSpec, allow_large: bool) -> int:
 def build_root_system(spec: RootSystemSpec, *, allow_large: bool = False) -> RootSystem:
     """Generate the positive root system of ``spec``, past ``check_size_gate``.
 
-    Construction itself is cheap for every supported type.
+    A root table of over ``MAX_ROOT_COEFFICIENTS`` coefficients is refused
+    (``SizeLimitExceeded``) before the Cartan matrix is built.
     """
     count = check_size_gate(spec, allow_large)
+    if count * spec.rank > MAX_ROOT_COEFFICIENTS:
+        raise SizeLimitExceeded(
+            f"the root table of {spec} holds {count_text(count * spec.rank)} coefficients, "
+            f"over its budget of {MAX_ROOT_COEFFICIENTS:,}"
+        )
     cartan = cartan_matrix(spec)
     positive_roots, steps = _generate(cartan)
     if len(positive_roots) != count:

@@ -353,6 +353,32 @@ def test_budget_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys, di
             assert capsys.readouterr().err == f"error: {error}\n"
 
 
+def test_root_table_budget_refuses_before_generation(monkeypatch, capsys, digit_limits):
+    # ``roots`` has no lattice or chain budget, so past the size gate the
+    # root table's coefficient count, roots times rank, is checked before
+    # the Cartan matrix or any root is built.  A200 is admitted; a count at
+    # the cap is named as at least the cap, at any digit limit.
+    def generated(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(root_system, "_generate", generated)
+    monkeypatch.setattr(root_system, "cartan_matrix", generated)
+    over = "coefficients, over its budget of 5,000,000"
+    cases = [
+        ("3000", "13,504,500,000"),
+        ("1000000000", f"{10**9 * (10**9 + 1) // 2 * 10**9:,}"),
+        ("9" * 400, "at least 2^2048"),
+    ]
+    for _ in digit_limits():
+        for rank, count in cases:
+            assert invoke("roots", "--type", "A", "--rank", rank, "--allow-large") == (2, "")
+            assert capsys.readouterr().err == f"error: the root table of A{rank} holds {count} {over}\n"
+        with pytest.raises(root_system.SizeLimitExceeded, match=f"of B1000 holds 1,000,000,000 {over}"):
+            root_system.build_root_system(root_system.RootSystemSpec("B", 1000), allow_large=True)
+        with pytest.raises(AssertionError, match="generation started"):
+            invoke("roots", "--type", "A", "--rank", "200", "--allow-large")
+
+
 def test_output_determinism():
     first = invoke("verify", "--type", "G", "--rank", "2", "--format", "json")
     second = invoke("verify", "--type", "G", "--rank", "2", "--format", "json")

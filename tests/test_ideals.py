@@ -378,11 +378,12 @@ def test_lattice_tables_match_object_predicates(family, rank):
         check_tables_by_vectors(lat, roots, i)
 
 
-@pytest.mark.parametrize("family,rank", [("E", 7), ("E", 8)])
+@pytest.mark.parametrize("family,rank", [("E", 7), ("E", 8), ("D", 10), ("A", 11)])
 def test_lattice_tables_match_vector_oracles_on_a_stride_sample(family, rank):
-    # About 100 ideals of E7 and E8 by a fixed stride, the full nilradical
-    # included: there the packed normalizer lanes span hundreds of bits and
-    # the derived contributions are shared between many ideals.
+    # About 100 ideals by a fixed stride, the full nilradical included, of
+    # E7, E8 and the largest lattices the budget admits, D10 and A11 (the
+    # most escape-count lanes).  The derived contributions are shared
+    # between many ideals.
     lat = IdealLattice(build_root_system(RootSystemSpec(family, rank), allow_large=True))
     roots = root_vectors(lat.rs)
     sample = [*range(0, len(lat), len(lat) // 100), len(lat) - 1]
