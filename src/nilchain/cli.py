@@ -3,7 +3,7 @@
 Exit status: 0 on success (verify: all verdicts true), 1 when an identity or
 property fails, 2 on usage errors (bad flags, malformed chain literals,
 chains outside a pairing's domain, enumeration over the chain guard, a
-lattice or a successor table over its size budget).
+root table, a lattice or a successor table over its size budget).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .ideals import (
     SizeLimitExceeded,
     _bit_positions,
     check_ideal_budget,
-    enumerate_ideals,
+    enumerate_ideals,  # not called here; perfbench/spans.py wraps nilchain.cli.enumerate_ideals
     ideal_lattice,
 )
-from .root_system import COUNT_BITS, RootSystem, RootSystemSpec, build_root_system, check_size_gate
+from .root_system import COUNT_BITS, RootSystem, RootSystemSpec, build_root_system
 from .sums import DEFAULT_MAX_CHAINS, verify
 
 ENV_MAX_CHAINS = "NILCHAIN_MAX_CHAINS"
@@ -67,11 +67,9 @@ def _read_int(text: str, name: str) -> int:
 
 def _spec(args: argparse.Namespace) -> RootSystemSpec:
     try:
-        spec = RootSystemSpec(args.type.upper(), _read_int(args.rank, "--rank"))
-        check_size_gate(spec, args.allow_large)
+        return RootSystemSpec(args.type.upper(), _read_int(args.rank, "--rank"))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return spec
 
 
 def _build(args: argparse.Namespace, *, lattice: bool = False) -> RootSystem:
@@ -79,7 +77,7 @@ def _build(args: argparse.Namespace, *, lattice: bool = False) -> RootSystem:
     spec = _spec(args)
     if lattice:
         check_ideal_budget(spec)
-    return build_root_system(spec, allow_large=args.allow_large)
+    return build_root_system(spec)
 
 
 def _guarded_build(args: argparse.Namespace, kind: ComplexKind) -> tuple[RootSystem, int]:
@@ -90,7 +88,7 @@ def _guarded_build(args: argparse.Namespace, kind: ComplexKind) -> tuple[RootSys
     check_successor_budget(spec, kind)
     if kind is not ComplexKind.CP:
         check_ideal_budget(spec)
-    return build_root_system(spec, allow_large=args.allow_large), limit
+    return build_root_system(spec), limit
 
 
 def _max_chains(args: argparse.Namespace) -> int:
@@ -107,8 +105,9 @@ def _max_chains(args: argparse.Namespace) -> int:
     return limit
 
 
-def _subset_str(subset: frozenset[int]) -> str:
-    return "{" + ", ".join(map(str, sorted(subset))) + "}"
+def _subset_str(indices: Sequence[int]) -> str:
+    """Ascending ``indices`` in braces, as an ``Ideal`` prints."""
+    return "{" + ", ".join(map(str, indices)) + "}"
 
 
 def parse_chain_literal(rs: RootSystem, text: str) -> Chain:
@@ -212,20 +211,27 @@ def _json_array(items: Sequence[str], indent: str) -> str:
 def _cmd_roots(args: argparse.Namespace, out) -> int:
     rs = _build(args)
     simple_of = {rs.simple_root_index(k): f"alpha_{k}" for k in range(1, rs.rank + 1)}
-    rows = [
+    rows = (
         (i, root.coeffs, root.height, simple_of.get(i, ""))
         for i, root in enumerate(rs.positive_roots)
-    ]
+    )
     if args.format == "json":
-        doc = {
-            "type": rs.spec.family,
-            "rank": rs.rank,
-            "roots": [
-                {"index": i, "coeffs": list(c), "height": h, "simple": simple or None}
-                for i, c, h, simple in rows
-            ],
-        }
-        _write_json(doc, out)
+        # The bytes of json.dumps(doc, indent=2), one root at a time.
+        key, item = " " * 6, " " * 8
+        out.write(f'{{\n  "type": {json.dumps(rs.spec.family)},\n  "rank": {rs.rank},\n  "roots": ')
+        sep = "[\n"
+        for i, c, h, simple in rows:
+            name = f'"{simple}"' if simple else "null"
+            out.write(
+                f"{sep}    {{\n"
+                f'{key}"index": {i},\n'
+                f'{key}"coeffs": {_json_array([item + str(x) for x in c], key)},\n'
+                f'{key}"height": {h},\n'
+                f'{key}"simple": {name}\n'
+                "    }"
+            )
+            sep = ",\n"
+        out.write("\n  ]\n}\n")
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["index", "coeffs", "height", "simple"])
@@ -242,16 +248,25 @@ def _cmd_roots(args: argparse.Namespace, out) -> int:
 def _cmd_ideals(args: argparse.Namespace, out) -> int:
     rs = _build(args, lattice=True)
     lat = ideal_lattice(rs)
-    rows = []
-    # Canonical order is the lattice's id order, so flags are read by position.
-    for i, n in enumerate(enumerate_ideals(rs)):
-        abelian = lat.abelian[i]
-        radical = i != 0 and lat.radical[i]
-        if args.abelian and not abelian:
-            continue
-        if args.radical and not radical:
-            continue
-        rows.append((n, abelian, radical, lat.normalizer_type_of(i)))
+    # The shown ids in canonical order, which is id order, counted before
+    # any row is written.  The zero ideal is abelian and never radical.
+    if args.radical:
+        ids = [i for i in lat.radical_ids if lat.abelian[i]] if args.abelian else lat.radical_ids
+    elif args.abelian:
+        ids = (0, *lat.abelian_ids)
+    else:
+        ids = range(len(lat))
+    # Each row: the root indices, the abelian and radical flags, and the
+    # normalizer's simple indices, read from the tables as it is written.
+    rows = (
+        (
+            _bit_positions(lat.masks[i]),
+            lat.abelian[i],
+            i != 0 and lat.radical[i],
+            [p + 1 for p in _bit_positions(lat.normalizer_bits[i])],
+        )
+        for i in ids
+    )
     if args.format == "json":
         # The bytes of json.dumps(doc, indent=2), one ideal at a time; each
         # root's index and coefficient block is rendered once per call.
@@ -263,39 +278,32 @@ def _cmd_ideals(args: argparse.Namespace, out) -> int:
         ]
         out.write(f'{{\n  "type": {json.dumps(rs.spec.family)},\n  "rank": {rs.rank},\n  "ideals": ')
         sep = "[\n"
-        for n, abelian, radical, norm in rows:
-            roots = n.root_indices()
+        for roots, abelian, radical, norm in rows:
             out.write(
                 f"{sep}    {{\n"
                 f'{key}"roots": {_json_array([root_items[r] for r in roots], key)},\n'
                 f'{key}"vectors": {_json_array([vector_items[r] for r in roots], key)},\n'
                 f'{key}"abelian": {"true" if abelian else "false"},\n'
                 f'{key}"radical": {"true" if radical else "false"},\n'
-                f'{key}"normalizer": {_json_array([item + str(k) for k in sorted(norm)], key)}\n'
+                f'{key}"normalizer": {_json_array([item + str(k) for k in norm], key)}\n'
                 "    }"
             )
             sep = ",\n"
-        out.write("\n  ]\n}\n" if rows else "[]\n}\n")
+        out.write("\n  ]\n}\n" if ids else "[]\n}\n")
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["roots", "size", "abelian", "radical", "normalizer"])
-        for n, abelian, radical, norm in rows:
+        for roots, abelian, radical, norm in rows:
             writer.writerow(
-                [
-                    " ".join(map(str, n.root_indices())),
-                    len(n),
-                    abelian,
-                    radical,
-                    " ".join(map(str, sorted(norm))),
-                ]
+                [" ".join(map(str, roots)), len(roots), abelian, radical, " ".join(map(str, norm))]
             )
     else:
-        print(f"ideals of the Borel in {rs.spec}: {len(rows)} shown", file=out)
-        for n, abelian, radical, norm in rows:
+        print(f"ideals of the Borel in {rs.spec}: {len(ids)} shown", file=out)
+        for roots, abelian, radical, norm in rows:
             flags = ("abelian" if abelian else "       ") + " " + (
                 "radical" if radical else "       "
             )
-            print(f"  {str(n):<24} {flags}  normalizer {_subset_str(norm)}", file=out)
+            print(f"  {_subset_str(roots):<24} {flags}  normalizer {_subset_str(norm)}", file=out)
     return 0
 
 
@@ -450,7 +458,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--allow-large",
             action="store_true",
-            help="lift the default size gate (E7/E8 and systems over 64 positive roots)",
+            help="accepted and does nothing; each command's own size budgets apply",
         )
 
     p_roots = sub.add_parser("roots", help="print the canonical positive-root table")

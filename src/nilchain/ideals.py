@@ -426,9 +426,6 @@ class IdealLattice:
     def union_id(self, a: int, b: int) -> int:
         return self.index[self.masks[a] | self.masks[b]]
 
-    def normalizer_type_of(self, ideal_id: int) -> ParabolicType:
-        return _type_of_bits(self.normalizer_bits[ideal_id])
-
 
 _LATTICE_CACHE: dict[object, IdealLattice] = {}
 

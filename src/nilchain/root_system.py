@@ -29,12 +29,8 @@ from typing import Iterable, NamedTuple, Optional
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
-# Systems larger than this are rejected unless explicitly allowed; chain
-# enumeration above this size is out of reach anyway.
-DEFAULT_MAX_POSITIVE_ROOTS = 64
-
-# The most coefficients a root table holds, positive roots times rank, past
-# the gate: A200 (4,020,000) fits, A300 (13,455,000) does not.
+# The most coefficients a root table holds, positive roots times rank:
+# A200 (4,020,000) fits, A300 (13,455,000) does not.
 MAX_ROOT_COEFFICIENTS = 5_000_000
 
 # Counts are computed exactly only below ``2^COUNT_BITS``.  Such a count has
@@ -133,8 +129,9 @@ class Frozen:
 class RootSystemSpec(Frozen):
     """A simple-type selector: family letter plus rank.
 
-    Invalid family/rank combinations are rejected here, so every spec that
-    exists is buildable (subject to the size gate in ``build_root_system``).
+    Invalid family/rank combinations are rejected here, and so is a ``bool``
+    rank, so every spec that exists is buildable (subject to the root-table
+    budget in ``build_root_system``).
     """
 
     __slots__ = _fields = ("family", "rank")
@@ -145,7 +142,8 @@ class RootSystemSpec(Frozen):
         if family not in _RANK_RANGE:
             raise ValueError(f"unknown family {family!r}; expected one of {''.join(FAMILIES)}")
         lo, hi = _RANK_RANGE[family]
-        if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
+        valid = isinstance(rank, int) and not isinstance(rank, bool)
+        if not valid or rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else (f"= {lo}" if lo == hi else f"in {lo}..{hi}")
             raise ValueError(f"invalid rank {rank} for family {family}: rank must be {bound}")
         object.__setattr__(self, "family", family)
@@ -344,36 +342,20 @@ def _addition_table(positive_roots: tuple[Root, ...]) -> dict[tuple[int, int], i
     return addition
 
 
-def count_text(count: int, separator: str = ",") -> str:
-    """``count`` in digits grouped by ``separator``, or at the cap ``at least 2^COUNT_BITS``."""
-    return f"at least 2^{COUNT_BITS}" if count >= 1 << COUNT_BITS else f"{count:{separator}}"
-
-
-def check_size_gate(spec: RootSystemSpec, allow_large: bool) -> int:
-    """The positive-root count of ``spec``, which must pass the size gate.
-
-    Systems with more than ``DEFAULT_MAX_POSITIVE_ROOTS`` positive roots, as
-    well as E7 and E8, raise ``ValueError`` unless ``allow_large`` is set;
-    chain enumeration over them is astronomically large and the gate keeps
-    misuse loud.
-    """
-    count = classical_positive_root_count(spec.family, spec.rank)
-    if not allow_large:
-        if count > DEFAULT_MAX_POSITIVE_ROOTS or (spec.family == "E" and spec.rank >= 7):
-            raise ValueError(
-                f"{spec} has {count_text(count, '')} positive roots, above the default gate; "
-                "pass allow_large=True (CLI: --allow-large) to build it anyway"
-            )
-    return count
+def count_text(count: int) -> str:
+    """``count`` in comma-grouped digits, or at the cap ``at least 2^COUNT_BITS``."""
+    return f"at least 2^{COUNT_BITS}" if count >= 1 << COUNT_BITS else f"{count:,}"
 
 
 def build_root_system(spec: RootSystemSpec, *, allow_large: bool = False) -> RootSystem:
-    """Generate the positive root system of ``spec``, past ``check_size_gate``.
+    """Generate the positive root system of ``spec``.
 
     A root table of over ``MAX_ROOT_COEFFICIENTS`` coefficients is refused
-    (``SizeLimitExceeded``) before the Cartan matrix is built.
+    (``SizeLimitExceeded``) before the Cartan matrix is built; the root
+    count is read from its closed form.  ``allow_large`` is accepted and
+    does nothing.
     """
-    count = check_size_gate(spec, allow_large)
+    count = classical_positive_root_count(spec.family, spec.rank)
     if count * spec.rank > MAX_ROOT_COEFFICIENTS:
         raise SizeLimitExceeded(
             f"the root table of {spec} holds {count_text(count * spec.rank)} coefficients, "

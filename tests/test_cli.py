@@ -68,12 +68,22 @@ def test_roots_table():
 
 
 def test_roots_json_round_trip():
-    code, text = invoke("roots", "--type", "G", "--rank", "2", "--format", "json")
-    doc = json.loads(text)
-    rs = system("G", 2)
-    assert [tuple(r["coeffs"]) for r in doc["roots"]] == [
-        root.coeffs for root in rs.positive_roots
-    ]
+    # The listing is written one root at a time; its bytes are those of one
+    # json.dumps(doc, indent=2) of the root table.  A simple root is the
+    # unit vector of its index.
+    for family, rank in [("G", 2), ("B", 3), ("E", 8)]:
+        roots = [
+            {
+                "index": i,
+                "coeffs": list(root.coeffs),
+                "height": root.height,
+                "simple": f"alpha_{root.coeffs.index(1) + 1}" if root.height == 1 else None,
+            }
+            for i, root in enumerate(system(family, rank).positive_roots)
+        ]
+        doc = {"type": family, "rank": rank, "roots": roots}
+        argv = ("roots", "--type", family, "--rank", str(rank), "--format", "json")
+        assert invoke(*argv) == (0, json.dumps(doc, indent=2) + "\n")
 
 
 def test_ideals_a2_flags():
@@ -215,11 +225,11 @@ def test_unknown_family_is_usage_error(capsys):
 
 
 def test_gate_and_override():
-    code, _ = invoke("roots", "--type", "E", "--rank", "7")
-    assert code == 2
-    code, text = invoke("roots", "--type", "E", "--rank", "7", "--allow-large")
+    # No gate refuses E7: ``--allow-large`` is accepted and changes nothing.
+    code, text = invoke("roots", "--type", "E", "--rank", "7")
     assert code == 0
     assert len(text.strip().splitlines()) == 64
+    assert invoke("roots", "--type", "E", "--rank", "7", "--allow-large") == (0, text)
 
 
 def test_max_chains_flag_and_env(monkeypatch, capsys):
@@ -273,23 +283,26 @@ def test_integer_flags_past_the_digit_limit(monkeypatch, capsys, digit_limits):
 
 def test_counts_of_a_400_digit_rank_print_at_every_digit_limit(monkeypatch, capsys, digit_limits):
     # A 400-digit rank is within the digit rule, and its root count ``N`` has
-    # about 800 digits, past the cap ``2^COUNT_BITS``: the size gate names
-    # it as at least the cap, and the CI bound ``2^N`` as at least
-    # ``2^(2^COUNT_BITS)``, even where the digit limit is 640.
+    # about 800 digits, past the cap ``2^COUNT_BITS``: the root-table budget
+    # names its coefficients as at least the cap, and the CI bound ``2^N``
+    # as at least ``2^(2^COUNT_BITS)``, even where the digit limit is 640.
     def generated(*args):
         raise AssertionError("generation started")
 
     monkeypatch.setattr(root_system, "_generate", generated)
     monkeypatch.delenv("NILCHAIN_MAX_CHAINS", raising=False)
     rank = "9" * 400
-    gate = f"error: A{rank} has at least 2^2048 positive roots, above the default gate; "
+    table = (
+        f"error: the root table of A{rank} holds at least 2^2048 coefficients, "
+        "over its budget of 5,000,000\n"
+    )
     bound = (
         "error: enumeration exceeds the chain guard: at least 2^(2^2048) > 100000000 chains; "
         "raise --max-chains (or NILCHAIN_MAX_CHAINS) to proceed\n"
     )
     for _ in digit_limits():
         assert invoke("roots", "--type", "A", "--rank", rank) == (2, "")
-        assert capsys.readouterr().err.startswith(gate)
+        assert capsys.readouterr().err == table
         for command in (["verify"], ["chains", "--complex", "ci"]):
             assert invoke(*command, "--type", "A", "--rank", rank, "--allow-large") == (2, "")
             assert capsys.readouterr().err == bound
@@ -298,8 +311,8 @@ def test_counts_of_a_400_digit_rank_print_at_every_digit_limit(monkeypatch, caps
 def test_ci_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys, digit_limits):
     # The CI bound 2^N needs only N, the sum of the exponents, so A200 is
     # refused before any of its 20,100 roots is generated, at any digit
-    # limit.  The errors keep their order: spec, size gate, chain limit,
-    # then the bound.
+    # limit.  The errors keep their order: spec, chain limit, then the
+    # bound.
     def generated(*args):
         raise AssertionError("generation started")
 
@@ -312,11 +325,12 @@ def test_ci_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys, digit_
     )
     for _ in digit_limits():
         for command in (["verify"], ["chains", "--complex", "ci"]):
-            assert invoke(*command, *a200, "--allow-large") == (2, "")
-            assert capsys.readouterr().err == bound
+            for flag in ([], ["--allow-large"]):
+                assert invoke(*command, *a200, *flag) == (2, "")
+                assert capsys.readouterr().err == bound
             for argv, error in (
                 (["--type", "Z", "--rank", "200", "--max-chains", "0"], "unknown family 'Z'"),
-                ([*a200, "--max-chains", "0"], "A200 has 20100 positive roots, above the default gate"),
+                ([*a200, "--max-chains", "0"], "--max-chains must be at least 1, got 0"),
                 ([*a200, "--allow-large", "--max-chains", "0"], "--max-chains must be at least 1, got 0"),
             ):
                 assert invoke(*command, *argv) == (2, "")
@@ -354,8 +368,8 @@ def test_budget_refusals_of_a_huge_type_generate_no_root(monkeypatch, capsys, di
 
 
 def test_root_table_budget_refuses_before_generation(monkeypatch, capsys, digit_limits):
-    # ``roots`` has no lattice or chain budget, so past the size gate the
-    # root table's coefficient count, roots times rank, is checked before
+    # ``roots`` has no lattice or chain budget, so its root table's
+    # coefficient count, roots times rank, is checked before
     # the Cartan matrix or any root is built.  A200 is admitted; a count at
     # the cap is named as at least the cap, at any digit limit.
     def generated(*args):

@@ -504,7 +504,7 @@ def test_ideal_count_stops_at_the_cap(digit_limits):
             assert str(exc.value) == f"A{rank} has {shown} ideals, over the lattice budget of 250,000"
 
 
-def test_size_gates_refuse_before_construction(monkeypatch, capsys):
+def test_size_budgets_refuse_before_construction(monkeypatch, capsys):
     # Any ideal enumeration fails loudly, and no lattice is cached: the
     # enumeration starts by reading the systems' upward steps.
     def built(*args):

@@ -11,7 +11,7 @@ from nilchain import (
     cartan_matrix,
     classical_positive_root_count,
 )
-from nilchain.root_system import check_size_gate
+from nilchain.root_system import SizeLimitExceeded
 
 from conftest import system
 from oracles import (
@@ -78,19 +78,21 @@ def test_classical_counts(family, rank):
     assert rs.num_positive_roots == classical_positive_root_count(family, rank) == count
 
 
-def test_size_gate_of_a_huge_rank_builds_nothing_large():
-    # The root count is a closed form, so the gate reads a rank of 10^12
-    # without a tuple of its exponents.
+def test_root_table_budget_of_a_huge_rank_builds_nothing_large():
+    # The root count is a closed form, so the root-table budget reads a
+    # rank of 10^12 without a tuple of its exponents.
     rank = 10**12
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"A{rank} has {rank * (rank + 1) // 2} positive roots, above"):
-            check_size_gate(RootSystemSpec("A", rank), allow_large=False)
-        counts = {f: check_size_gate(RootSystemSpec(f, rank), allow_large=True) for f in "ABCD"}
+        for family in "ABCD":
+            count = classical_root_count(family, rank)
+            assert classical_positive_root_count(family, rank) == count
+            message = f"the root table of {family}{rank} holds {count * rank:,} coefficients, over its budget"
+            with pytest.raises(SizeLimitExceeded, match=message):
+                build_root_system(RootSystemSpec(family, rank))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts == {f: classical_root_count(f, rank) for f in "ABCD"}
     assert peak < 100_000, peak
 
 
@@ -204,6 +206,7 @@ def test_spec_and_root_records():
         ("E", 9, "invalid rank 9 for family E: rank must be in 6..8"),
         ("G", 3, "invalid rank 3 for family G: rank must be = 2"),
         ("A", 2.0, "invalid rank 2.0 for family A: rank must be >= 1"),
+        ("A", True, "invalid rank True for family A: rank must be >= 1"),
     ]:
         with pytest.raises(ValueError) as exc:
             RootSystemSpec(family, rank)
@@ -216,19 +219,21 @@ def test_spec_and_root_records():
         root.height = 3
 
 
-def test_size_gate():
-    with pytest.raises(ValueError, match="allow_large"):
-        build_root_system(RootSystemSpec("E", 7))
-    with pytest.raises(ValueError, match="allow_large"):
-        build_root_system(RootSystemSpec("A", 11))
-    rs = build_root_system(RootSystemSpec("E", 7), allow_large=True)
-    assert rs.num_positive_roots == 63
-
-
 def test_e8_builds_when_allowed():
     rs = build_root_system(RootSystemSpec("E", 8), allow_large=True)
     assert rs.num_positive_roots == 120
     assert rs.positive_roots[-1].height == 29
+
+
+def test_allow_large_changes_nothing():
+    # The keyword is accepted and does nothing: E8 builds without it, to the
+    # same tables.  Systems compare equal by spec, so the tables are compared.
+    rs = build_root_system(RootSystemSpec("E", 8))
+    allowed = build_root_system(RootSystemSpec("E", 8), allow_large=True)
+    assert rs == allowed
+    assert (rs.positive_roots, rs.simple_step_table, rs.up_masks) == (
+        allowed.positive_roots, allowed.simple_step_table, allowed.up_masks
+    )
 
 
 def test_index_errors():
